@@ -4,7 +4,6 @@ determinant."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -140,7 +139,11 @@ class MinColorsResult:
 
 
 def theorem_lower_bound(p: int) -> int:
-    return math.floor(math.log2(p)) + 2
+    """floor(log2 p) + 2, the fewest colors a nontrivial p-coloring can use.
+
+    Computed with integers: floating-point log2 rounds 2**61 - 1 up to 61.
+    """
+    return p.bit_length() + 1
 
 
 def min_colors_diagram(d: Diagram, p: int,

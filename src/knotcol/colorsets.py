@@ -8,11 +8,12 @@ to affine equivalence, never by literal representative.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations
 
+# perfbench/tracer.py wraps this module attribute to count canonicalizations
 from knotcol._kernels import canonical_affine_min
+from knotcol.coloring import theorem_lower_bound
 from knotcol.exactalg import _require_odd_prime
 from knotcol.palette import NO_WITNESS, connected_r_witness, palette_graph
 
@@ -21,7 +22,6 @@ from knotcol.palette import NO_WITNESS, connected_r_witness, palette_graph
 class CanonicalSet:
     p: int
     elements: tuple  # sorted residues
-    canonical: bool
 
 
 def canonical_affine(s, p: int) -> CanonicalSet:
@@ -29,7 +29,7 @@ def canonical_affine(s, p: int) -> CanonicalSet:
     elems = tuple(sorted({x % p for x in s}))
     if not elems:
         raise ValueError("set must be nonempty")
-    return CanonicalSet(p, canonical_affine_min(elems, p), True)
+    return CanonicalSet(p, canonical_affine_min(elems, p))
 
 
 def affine_equivalent(s1, s2, p: int) -> bool:
@@ -48,12 +48,12 @@ def enumerate_classes(p: int, k: int) -> list:
     if not 1 <= k <= p:
         raise ValueError(f"size must be between 1 and {p}")
     if k == 1:
-        return [CanonicalSet(p, (0,), True)]
+        return [CanonicalSet(p, (0,))]
     seen = set()
     for rest in combinations(range(2, p), k - 2):
         elems = (0, 1) + rest
         seen.add(canonical_affine_min(elems, p))
-    return [CanonicalSet(p, e, True) for e in sorted(seen)]
+    return [CanonicalSet(p, e) for e in sorted(seen)]
 
 
 def candidates(p: int, k: int) -> list:
@@ -64,11 +64,6 @@ def candidates(p: int, k: int) -> list:
         if connected_r_witness(g) != NO_WITNESS:
             result.append(cs)
     return result
-
-
-def critical_size(p: int) -> int:
-    """The smallest color count not excluded by the lower bound."""
-    return math.floor(math.log2(p)) + 2
 
 
 # Candidate color sets at the critical size, one list per odd prime below
@@ -109,7 +104,7 @@ class CandidateReport:
 def theorem62_report(p: int) -> CandidateReport:
     if p not in EXPECTED_CANDIDATES:
         raise ValueError(f"no published table for p = {p}; expected p < 32")
-    kc = critical_size(p)
+    kc = theorem_lower_bound(p)
     empty_ok = all(not candidates(p, k) for k in range(1, kc))
     found = tuple(cs.elements for cs in candidates(p, kc))
     expected = tuple(EXPECTED_CANDIDATES[p])

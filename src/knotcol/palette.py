@@ -25,21 +25,15 @@ class PaletteGraph:
     edges: dict  # (u, v) with u < v -> label
 
     def __post_init__(self):
+        half = inv_mod_p(2, self.p)
         for (u, v), label in self.edges.items():
             if u == v:
                 raise ValueError("loops are not allowed")
             if u not in self.vertices or v not in self.vertices:
                 raise ValueError("edge endpoint is not a vertex")
-            expected = (inv_mod_p(2, self.p) * (u + v)) % self.p
+            expected = (half * (u + v)) % self.p
             if label != expected:
                 raise ValueError(f"edge ({u},{v}) label {label} != {expected}")
-
-    def neighbors(self, u):
-        for (a, b) in self.edges:
-            if a == u:
-                yield b
-            elif b == u:
-                yield a
 
 
 @dataclass(frozen=True)
@@ -51,33 +45,23 @@ class RSubgraph:
 def palette_graph(colors, p: int) -> PaletteGraph:
     """The full palette graph of a set of residues."""
     _require_odd_prime(p)
-    s = sorted({a % p for a in colors})
+    s = {a % p for a in colors}
     if not s:
         raise ValueError("color set must be nonempty")
     vertices = {(a1 + a2) % p for a1 in s for a2 in s}
     half = inv_mod_p(2, p)
     edges = {}
-    for u in sorted(vertices):
-        for v in sorted(vertices):
-            if u >= v:
-                continue
-            if _pairs_admit_crossing(s, u, v, p):
-                edges[(u, v)] = (half * (u + v)) % p
-    return PaletteGraph(p, frozenset(vertices), edges)
-
-
-def _pairs_admit_crossing(s, b1, b2, p):
-    # some a1+a2 = b1, a3+a4 = b2 with a1+a3 = a2+a4 (mod p); swapping
-    # a3 and a4 covers the other displayed condition
+    # b1 = a1+a2 and b2 = a3+a4 are joined when a1+a3 = a2+a4 (mod p); the
+    # other displayed condition is this one with a3 and a4 swapped
     for a1 in s:
-        a2 = (b1 - a1) % p
-        if a2 not in s:
-            continue
-        for a3 in s:
-            a4 = (b2 - a3) % p
-            if a4 in s and (a1 + a3 - a2 - a4) % p == 0:
-                return True
-    return False
+        for a2 in s:
+            for a3 in s:
+                a4 = (a1 + a3 - a2) % p
+                b1, b2 = (a1 + a2) % p, (a3 + a4) % p
+                if a4 in s and b1 != b2:
+                    u, v = min(b1, b2), max(b1, b2)
+                    edges[(u, v)] = (half * (u + v)) % p
+    return PaletteGraph(p, frozenset(vertices), edges)
 
 
 def is_r_subgraph(h: RSubgraph, g: PaletteGraph) -> bool:

@@ -41,7 +41,6 @@ from knotcol.colorsets import (
     EXPECTED_CANDIDATES,
     ODD_PRIMES_BELOW_32,
     candidates,
-    critical_size,
     enumerate_classes,
     theorem62_report,
 )
@@ -141,6 +140,8 @@ def test_criterion_06_minimum_colors():
         assert min_colors_diagram(catalog_diagram("4_1"), 5).min_colors == 4
         assert theorem_lower_bound(3) == 3
         assert theorem_lower_bound(5) == 4
+        # float log2 rounds 2**61 - 1 up to 61
+        assert theorem_lower_bound(2 ** 61 - 1) == 62
         for name in CATALOG_ORDER:
             d = catalog_diagram(name)
             for p in dividing_primes(knot_determinant(d)):

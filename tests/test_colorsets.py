@@ -3,13 +3,13 @@ from itertools import combinations
 
 import pytest
 
+from knotcol.coloring import theorem_lower_bound
 from knotcol.colorsets import (
     EXPECTED_CANDIDATES,
     ODD_PRIMES_BELOW_32,
     affine_equivalent,
     canonical_affine,
     candidates,
-    critical_size,
     enumerate_classes,
     theorem62_report,
 )
@@ -73,7 +73,7 @@ def test_enumerate_classes_bad_size():
 
 
 def test_critical_size_values():
-    assert [critical_size(p) for p in ODD_PRIMES_BELOW_32] \
+    assert [theorem_lower_bound(p) for p in ODD_PRIMES_BELOW_32] \
         == [3, 4, 4, 5, 5, 6, 6, 6, 6, 6]
 
 

@@ -67,10 +67,15 @@ def test_det_matches_cofactor_oracle():
         n = rng.randint(1, 8)
         m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
         assert det_int(m) == det_cofactor(m)
+    # orders where Bareiss intermediates of |entry| <= 8 matrices pass 2**63
+    for n in range(9, 13):
+        for _ in range(30):
+            m = [[rng.randint(-8, 8) for _ in range(n)] for _ in range(n)]
+            assert det_int(m) == det_cofactor(m)
 
 
 def test_det_large_entries_exact():
-    # force the unbounded path past the compiled-kernel gate
+    # intermediates far beyond 64 bits
     big = 10 ** 30
     m = [[big, 1], [1, big]]
     assert det_int(m) == big * big - 1
