@@ -6,18 +6,27 @@ BACKEND = "python"
 
 
 def canonical_affine_min(elems, p):
-    """Lexicographically smallest sorted image of elems under x -> s*x + t.
+    """Lexicographically smallest sorted image of elems under x -> s*x + t,
+    for elems distinct residues mod p and s a unit.
 
-    The minimum always starts with 0, so it suffices to scan s over the
-    units and align each element to 0 instead of scanning all p values
-    of t.
+    For two or more elements the minimum starts (0, 1), since any map
+    sending one element to 0 and another to 1 gives such an image.  A
+    minimising map therefore sends some e to 0 and some f to 1, which fixes
+    it as x -> (x - e) / (f - e).  Only these k(k-1) pair maps are scanned,
+    so the cost is O(k^3 log k) whatever p is.
     """
+    if len(elems) == 1:
+        return (0,)
     best = None
-    for s in range(1, p):
-        for e in elems:
-            img = sorted((s * (x - e)) % p for x in elems)
-            if best is None or img < best:
-                best = img
+    for e in elems:
+        diffs = [(x - e) % p for x in elems]
+        for d in diffs:
+            if d:
+                s = pow(d, -1, p)
+                img = [s * y % p for y in diffs]
+                img.sort()
+                if best is None or img < best:
+                    best = img
     return tuple(best)
 
 

@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-# perfbench/tracer.py wraps this module attribute to count canonicalizations
+# perfbench/tracer.py wraps this module attribute to count canonicalizations,
+# and perfbench/test_perfbench.py pins that count to the sum of C(p-2, k-2):
+# enumerate_classes must call it through this attribute once per scanned subset
 from knotcol._kernels import canonical_affine_min
 from knotcol.coloring import theorem_lower_bound
 from knotcol.exactalg import _require_odd_prime

@@ -22,18 +22,50 @@ class InvalidModulusError(ValueError):
     pass
 
 
+# The first 13 primes: trial divisors, then Miller-Rabin bases.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin to the bases above is proven exact below this bound
+# (Sorenson and Webster, 2015); above it a strong pseudoprime to all 13
+# bases has not been ruled out.
+PRIMALITY_LIMIT = 3317044064679887385961981
+
+
 def is_odd_prime(p: int) -> bool:
-    if p < 3 or p % 2 == 0:
+    """Whether p is an odd prime.
+
+    Trial division by the primes up to 41 settles every p < 43^2; larger p
+    get the strong probable-prime test to those 13 bases, which is exact
+    for p < PRIMALITY_LIMIT (about 3.3e24).  At or above that limit a True
+    is not proven; `_require_odd_prime` refuses such p.
+    """
+    if p <= 41:
+        return p != 2 and p in _SMALL_PRIMES
+    if any(p % q == 0 for q in _SMALL_PRIMES):
         return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    if p < 43 * 43:
+        return True
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
 def _require_odd_prime(p: int) -> None:
+    if p >= PRIMALITY_LIMIT:
+        raise InvalidModulusError(
+            f"invalid modulus: {p} is too large; primality is proven only "
+            f"below {PRIMALITY_LIMIT}")
     if not is_odd_prime(p):
         raise InvalidModulusError(f"invalid modulus: {p} is not an odd prime")
 

@@ -37,6 +37,11 @@ def test_mincol():
     assert code == EXIT_OK
     assert json.loads(text)["min_colors"] is None
 
+    code, text = invoke(["mincol", "--knot", "3_1", "--p", str(2**61 - 1),
+                         "--format", "json"])
+    assert code == EXIT_OK
+    assert json.loads(text)["lower_bound"] == 62
+
 
 def test_palette_table_and_json():
     code, text = invoke(["palette", "--p", "7", "--set", "0,1,2,4"])
@@ -132,4 +137,6 @@ def test_usage_errors():
         == EXIT_USAGE  # malformed PD
     assert invoke(["color-count", "--knot", "3_1", "--p", "4"])[0] \
         == EXIT_USAGE  # modulus not an odd prime
+    assert invoke(["mincol", "--knot", "3_1", "--p", str(2**89 - 1)])[0] \
+        == EXIT_USAGE  # prime, but beyond the proven primality limit
     assert invoke(["nope"])[0] == EXIT_USAGE

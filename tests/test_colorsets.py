@@ -57,6 +57,33 @@ def test_enumerate_classes_partition_counts():
             assert orbit_total == math.comb(p, k)
 
 
+def _burnside_class_count(p, k):
+    """Orbits of AGL(1, p) on k-subsets of Z_p, by Cauchy-Frobenius: the
+    mean number of k-subsets fixed by a map x -> a*x + b."""
+    fixed = math.comb(p, k)                 # the identity
+    fixed += (p - 1) * (k == p)             # translations: one p-cycle
+    for a in range(2, p):
+        # x -> a*x + b has one fixed point and (p-1)/m cycles of length
+        # m = ord(a); a fixed k-subset is a union of such cycles
+        m = next(m for m in range(1, p) if pow(a, m, p) == 1)
+        cycles = (p - 1) // m
+        for point in (0, 1):
+            if (k - point) % m == 0:
+                fixed += p * math.comb(cycles, (k - point) // m)
+    count, rest = divmod(fixed, p * (p - 1))
+    assert rest == 0
+    return count
+
+
+def test_enumerate_classes_burnside_count():
+    for p in ODD_PRIMES_BELOW_32:
+        for k in range(1, min(p, 4) + 1):
+            assert len(enumerate_classes(p, k)) == _burnside_class_count(p, k)
+    for p in (3, 5, 7, 11, 13):
+        for k in range(1, p + 1):
+            assert len(enumerate_classes(p, k)) == _burnside_class_count(p, k)
+
+
 def test_enumerate_classes_distinct_and_sorted():
     classes = enumerate_classes(13, 4)
     elems = [c.elements for c in classes]

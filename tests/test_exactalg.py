@@ -10,8 +10,11 @@ from knotcol.exactalg import (
     IntMatrix,
     InvalidModulusError,
     NotInvertibleError,
+    PRIMALITY_LIMIT,
+    _require_odd_prime,
     det_int,
     inv_mod_p,
+    is_odd_prime,
     nullspace_mod_p,
     rank_int,
     rank_mod_p,
@@ -33,6 +36,43 @@ def test_inv_mod_p_zero_not_invertible():
 def test_invalid_modulus(p):
     with pytest.raises(InvalidModulusError):
         inv_mod_p(1, p)
+
+
+def _odd_prime_by_trial_division(n):
+    if n < 3 or n % 2 == 0:
+        return False
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
+
+
+def test_is_odd_prime_matches_trial_division():
+    assert all(is_odd_prime(n) == _odd_prime_by_trial_division(n)
+               for n in range(-3, 10**5))
+
+
+@pytest.mark.parametrize("n", [
+    2047, 3215031751, 3825123056546413051,  # strong pseudoprimes to small bases
+    561, 41041,                              # Carmichael numbers
+])
+def test_is_odd_prime_rejects_pseudoprimes(n):
+    assert not is_odd_prime(n)
+
+
+def test_is_odd_prime_large_prime():
+    assert is_odd_prime(2**61 - 1)
+    _require_odd_prime(2**61 - 1)
+
+
+def test_require_odd_prime_refuses_beyond_proven_limit():
+    # the limit itself is composite but a strong pseudoprime to all 13 bases
+    assert PRIMALITY_LIMIT == 1287836182261 * 2575672364521
+    for n in (PRIMALITY_LIMIT, 2**89 - 1):
+        with pytest.raises(InvalidModulusError, match="too large"):
+            _require_odd_prime(n)
 
 
 def test_rank_mod_p_basic():
