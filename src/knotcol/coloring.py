@@ -5,7 +5,6 @@ determinant."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from knotcol import exactalg
 from knotcol.diagram import Diagram, checkerboard
@@ -97,11 +96,26 @@ def colorings(d: Diagram, p: int, budget: int = DEFAULT_BUDGET) -> ColoringSpace
 
 
 def _span(basis, p, width):
-    vecs = [b.entries for b in basis]
-    for coeffs in product(range(p), repeat=len(vecs)):
-        yield tuple(
-            sum(c * v[j] for c, v in zip(coeffs, vecs)) % p for j in range(width)
-        )
+    """Every combination of the basis vectors v_i, in `itertools.product`
+    order of the coefficients, stepped like an odometer: when digit j goes
+    up and the digits after it wrap from p-1 to 0, the vector gains
+    carry[j] = sum of v_i for i >= j (mod p)."""
+    carry = [[0] * width]
+    for b in reversed(basis):
+        carry.append([(x + y) % p for x, y in zip(carry[-1], b.entries)])
+    carry = carry[:0:-1]
+    digits = [0] * len(carry)
+    cur = [0] * width
+    while True:
+        yield tuple(cur)
+        j = len(digits) - 1
+        while j >= 0 and digits[j] == p - 1:
+            digits[j] = 0
+            j -= 1
+        if j < 0:
+            return
+        digits[j] += 1
+        cur = [(x + y) % p for x, y in zip(cur, carry[j])]
 
 
 def classify(d: Diagram, c: DehnColoring) -> ColoringClass:

@@ -103,6 +103,7 @@ class Diagram:
     arcs: tuple          # each arc: frozenset of semiarc labels
     arc_of_semiarc: dict  # semiarc label -> arc index
     quadrants: tuple     # per crossing: (q01, q12, q23, q30) region indices
+    regions_of_semiarc: dict  # semiarc label -> regions of its two darts, in dart order
 
     @property
     def n(self) -> int:
@@ -110,8 +111,7 @@ class Diagram:
 
     def semiarc_regions(self, semiarc: int):
         """The two region indices on either side of a semiarc."""
-        darts = [d for d in self.region_of_dart if self.pd.crossings[d[0]][d[1]] == semiarc]
-        return tuple(self.region_of_dart[d] for d in sorted(darts))
+        return self.regions_of_semiarc.get(semiarc, ())
 
     def crossing_relation_regions(self, i: int):
         """Regions (x1, x2, x3, x4) at crossing i with x1+x3 = x2+x4.
@@ -198,8 +198,12 @@ def build_diagram(pd: PDCode) -> Diagram:
             region_of_dart[(ci, (p + 1) % 4)] for p in range(4)
         ))
 
+    regions_of_semiarc = {
+        label: tuple(region_of_dart[d] for d in darts)
+        for label, darts in occurrences.items()
+    }
     return Diagram(pd, tuple(faces), region_of_dart, arcs, arc_of_semiarc,
-                   tuple(quadrants))
+                   tuple(quadrants), regions_of_semiarc)
 
 
 @dataclass(frozen=True)

@@ -124,29 +124,66 @@ def inv_mod_p(a: int, p: int) -> int:
     return pow(a, -1, p)
 
 
+def _eliminate(m, p=None, reduced=False) -> dict:
+    """Sparse row reduction of m over Z_p, or over Q when p is None.
+
+    Columns go left to right; the pivot of column c is the pending row with
+    a nonzero there and the fewest nonzeros (the first on a tie), and only
+    rows with a nonzero in c change.  Returns {pivot column: row as a dict
+    {column: nonzero}}, pivots scaled to 1 over Z_p; `reduced` back
+    substitutes in decreasing pivot column order to reduced echelon form.
+    """
+    rows = [{j: v for j, v in enumerate(r) if v} for r in _rows_of(m)]
+    if p is not None:
+        rows = [{j: x for j, v in r.items() if (x := v % p)} for r in rows]
+    lead = {}  # leading column -> indices of the pending rows starting there
+    for i, r in enumerate(rows):
+        if r:
+            lead.setdefault(min(r), []).append(i)
+    pivots = {}
+    while lead:
+        c = min(lead)
+        touched = lead.pop(c)
+        k = min(touched, key=lambda i: (len(rows[i]), i))
+        piv = pivots[c] = rows[k]
+        if p is not None:
+            inv = pow(piv[c], -1, p)
+            piv = pivots[c] = {j: v * inv % p for j, v in piv.items()}
+        for i in touched:
+            if i != k:
+                r = rows[i] = _clear(rows[i], piv, c, p)
+                if r:
+                    lead.setdefault(min(r), []).append(i)
+    if reduced:
+        for c in sorted(pivots, reverse=True):
+            for c2 in pivots:
+                if c2 < c and c in pivots[c2]:
+                    pivots[c2] = _clear(pivots[c2], pivots[c], c, p)
+    return pivots
+
+
+def _clear(r: dict, piv: dict, c: int, p) -> dict:
+    """(a/g)*r - (f/g)*piv, a = piv[c], f = r[c], g = gcd(a, f): reduced
+    mod p over Z_p, divided by its content over Q (exact, no fractions)."""
+    g = gcd(piv[c], r[c])
+    s, t = piv[c] // g, r[c] // g
+    out = dict(r) if s == 1 else {j: s * v for j, v in r.items()}
+    for j, v in piv.items():
+        x = out.get(j, 0) - t * v
+        if p is not None:
+            x %= p
+        if x:
+            out[j] = x
+        else:
+            del out[j]
+    g = gcd(*out.values()) if p is None else 1
+    return {j: v // g for j, v in out.items()} if g > 1 else out
+
+
 def rank_mod_p(m, p: int) -> int:
     """Rank of m over the field Z_p."""
     _require_odd_prime(p)
-    rows = [[e % p for e in r] for r in _rows_of(m)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for c in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][c], -1, p)
-        rows[rank] = [(x * inv) % p for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    return len(_eliminate(m, p))
 
 
 def nullspace_mod_p(m, p: int) -> list:
@@ -156,34 +193,17 @@ def nullspace_mod_p(m, p: int) -> list:
     increasing order of that coordinate, so the output is deterministic.
     """
     _require_odd_prime(p)
-    rows = [[e % p for e in r] for r in _rows_of(m)]
-    ncols = len(rows[0]) if rows else 0
-    if isinstance(m, IntMatrix):
-        ncols = m.cols
-    pivots = []  # (row, col)
-    rank = 0
-    for c in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][c], -1, p)
-        rows[rank] = [(x * inv) % p for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
-        pivots.append((rank, c))
-        rank += 1
-    pivot_cols = {c for _, c in pivots}
+    rows = _rows_of(m)
+    ncols = m.cols if isinstance(m, IntMatrix) else len(rows[0]) if rows else 0
+    pivots = _eliminate(rows, p, reduced=True)
     basis = []
     for free in range(ncols):
-        if free in pivot_cols:
+        if free in pivots:
             continue
         v = [0] * ncols
         v[free] = 1
-        for r, c in pivots:
-            v[c] = (-rows[r][free]) % p
+        for c, r in pivots.items():
+            v[c] = -r.get(free, 0) % p
         basis.append(ModVector(p, tuple(v)))
     return basis
 
@@ -201,27 +221,7 @@ def det_int(m) -> int:
 
 def rank_int(m) -> int:
     """Rank over the rationals, by fraction-free elimination."""
-    rows = [list(r) for r in _rows_of(m) if any(r)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    prev = 1
-    for c in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        for i in range(rank + 1, len(rows)):
-            rows[i] = [
-                (rows[i][j] * rows[rank][c] - rows[i][c] * rows[rank][j]) // prev
-                for j in range(ncols)
-            ]
-        prev = rows[rank][c]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    return len(_eliminate(m))
 
 
 def smith_invariant_factors(m) -> list:

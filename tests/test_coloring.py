@@ -1,3 +1,6 @@
+import random
+from itertools import product
+
 import pytest
 
 from conftest import brute_dehn_colorings, brute_fox_count, dividing_primes
@@ -9,7 +12,9 @@ from knotcol.coloring import (
     TWO_TRIVIAL,
     DehnColoring,
     NotAColoringError,
+    _span,
     affine_transform,
+    alexander_matrix_at_minus_one,
     checkerboard_coloring,
     classify,
     coloring_matrix,
@@ -22,7 +27,8 @@ from knotcol.coloring import (
     min_colors_diagram,
     theorem_lower_bound,
 )
-from knotcol.diagram import build_diagram, catalog_diagram, parse_pd
+from knotcol.diagram import CATALOG, build_diagram, catalog_diagram, parse_pd
+from knotcol.exactalg import ModVector
 
 
 @pytest.fixture(scope="module")
@@ -176,3 +182,47 @@ def test_rank_statements_trefoil(trefoil):
     assert exactalg.rank_mod_p(m, 3) == 2
     assert len(exactalg.nullspace_mod_p(m, 3)) == 3
     assert len(exactalg.nullspace_mod_p(m, 5)) == 2
+
+
+def _torus_pd(n):
+    """PD code of the (2, n) torus knot for odd n >= 3."""
+    def label(x):
+        return (x - 1) % (2 * n) + 1
+    return " ".join(
+        f"X[{label(2 * i + 1)},{label(2 * i + n + 1)},{label(2 * i + 2)},{label(2 * i + n + 2)}]"
+        for i in range(n))
+
+
+def test_torus_pd_matches_catalog():
+    assert _torus_pd(3) == CATALOG["3_1"]
+    assert _torus_pd(5) == CATALOG["5_1"]
+
+
+@pytest.mark.parametrize("n", [51, 101, 201])
+def test_ranks_of_large_torus_knots(n):
+    # det T(2, n) = n, and the coloring space mod p has dimension 3 when
+    # p | n and 2 otherwise; A adds the row e_0, which cuts one dimension
+    d = build_diagram(parse_pd(_torus_pd(n)))
+    m, a = coloring_matrix(d), alexander_matrix_at_minus_one(d)
+    assert exactalg.rank_int(m) == n
+    assert exactalg.rank_int(a) == n + 1
+    for p in (3, 5, 17, 67, 101):
+        drop = 1 if n % p == 0 else 0
+        assert exactalg.rank_mod_p(m, p) == n - drop, p
+        assert exactalg.rank_mod_p(a, p) == n + 1 - drop, p
+        assert len(exactalg.nullspace_mod_p(m, p)) == 2 + drop, p
+
+
+def test_span_matches_product_order():
+    rng = random.Random(41)
+    for p in (3, 5, 7):
+        for dim in range(4):
+            for _ in range(5):
+                width = rng.randint(1, 6)
+                basis = [ModVector(p, tuple(rng.randrange(p) for _ in range(width)))
+                         for _ in range(dim)]
+                expected = [
+                    tuple(sum(c * b.entries[j] for c, b in zip(coeffs, basis)) % p
+                          for j in range(width))
+                    for coeffs in product(range(p), repeat=dim)]
+                assert list(_span(basis, p, width)) == expected, (p, basis)

@@ -59,6 +59,9 @@ def test_semiarcs_border_two_regions():
         d = build_diagram(parse_pd(text))
         for s in d.pd.semiarcs():
             assert len(d.semiarc_regions(s)) == 2
+            darts = sorted(dart for dart in d.region_of_dart
+                           if d.pd.crossings[dart[0]][dart[1]] == s)
+            assert d.semiarc_regions(s) == tuple(d.region_of_dart[x] for x in darts)
 
 
 def test_checkerboard_proper():

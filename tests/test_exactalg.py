@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import det_cofactor, gcd_of_minors
 from knotcol import exactalg
+from knotcol.coloring import coloring_matrix
 from knotcol.exactalg import (
     IntMatrix,
     InvalidModulusError,
@@ -154,6 +156,92 @@ def test_nullspace_dimension_and_membership():
         for v in basis:
             for row in rows:
                 assert sum(a * b for a, b in zip(row, v.entries)) % p == 0
+
+
+def _random_matrices(seed=20261018, count=300):
+    """Matrices up to 5 x 6 with entries in [-3, 3], tall and wide, sparse
+    and dense, some with a zero row or a zero column."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        nr, nc = rng.randint(1, 5), rng.randint(1, 6)
+        fill = rng.choice((0.3, 0.6, 1.0))
+        rows = [[rng.randint(-3, 3) if rng.random() < fill else 0
+                 for _ in range(nc)] for _ in range(nr)]
+        if rng.random() < 0.3:
+            rows[rng.randrange(nr)] = [0] * nc
+        if rng.random() < 0.3:
+            j = rng.randrange(nc)
+            for r in rows:
+                r[j] = 0
+        yield rows
+
+
+def _rank_by_minors(rows, p=None):
+    """Largest k with a k x k minor that is nonzero (mod p when given)."""
+    nr, nc = len(rows), len(rows[0])
+    for k in range(min(nr, nc), 0, -1):
+        for rsel in combinations(range(nr), k):
+            for csel in combinations(range(nc), k):
+                det = det_cofactor([[rows[r][c] for c in csel] for r in rsel])
+                if det % p if p else det:
+                    return k
+    return 0
+
+
+def _nullspace_gauss_jordan(rows, ncols, p):
+    """Dense Gauss-Jordan reduction over Z_p to reduced echelon form, then
+    one basis vector per free column, in increasing column order."""
+    rows = [[e % p for e in r] for r in rows]
+    pivots = []
+    for c in range(ncols):
+        t = len(pivots)
+        piv = next((i for i in range(t, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[t], rows[piv] = rows[piv], rows[t]
+        inv = pow(rows[t][c], -1, p)
+        rows[t] = [x * inv % p for x in rows[t]]
+        for i in range(len(rows)):
+            if i != t and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[t])]
+        pivots.append(c)
+    basis = []
+    for free in range(ncols):
+        if free not in pivots:
+            v = [0] * ncols
+            v[free] = 1
+            for r, c in enumerate(pivots):
+                v[c] = -rows[r][free] % p
+            basis.append(tuple(v))
+    return basis
+
+
+def test_ranks_match_minor_oracle():
+    for rows in _random_matrices():
+        m = IntMatrix.from_rows(rows)
+        assert rank_int(rows) == rank_int(m) == _rank_by_minors(rows), rows
+        for p in (3, 5, 7):
+            assert rank_mod_p(rows, p) == rank_mod_p(m, p) == _rank_by_minors(rows, p), (rows, p)
+
+
+def test_nullspace_matches_gauss_jordan():
+    for rows in _random_matrices():
+        for p in (3, 5, 7):
+            got = [v.entries for v in nullspace_mod_p(rows, p)]
+            assert got == _nullspace_gauss_jordan(rows, len(rows[0]), p), (rows, p)
+    # no rows: the column count comes from the IntMatrix
+    empty = IntMatrix(0, 4, ())
+    assert rank_mod_p(empty, 3) == rank_int(empty) == 0
+    assert [v.entries for v in nullspace_mod_p(empty, 3)] == _nullspace_gauss_jordan([], 4, 3)
+
+
+def test_nullspace_of_catalog_coloring_matrices(catalog):
+    for name, d in catalog.items():
+        m = coloring_matrix(d)
+        for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+            got = [v.entries for v in nullspace_mod_p(m, p)]
+            assert got == _nullspace_gauss_jordan(m.row_list(), m.cols, p), (name, p)
 
 
 def test_smith_basic():
