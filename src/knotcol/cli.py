@@ -10,13 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from knotcol import certificates, colorsets, palette
-from knotcol import coloring as coloring_mod
 from knotcol.coloring import (
-    DEFAULT_BUDGET,
     NO_NONTRIVIAL,
     NONTRIVIAL,
     classify,
@@ -32,10 +29,6 @@ from knotcol.diagram import CATALOG, PDError, build_diagram, catalog_diagram, pa
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
-
-
-def _budget() -> int:
-    return int(os.environ.get("KNOTCOL_BUDGET", DEFAULT_BUDGET))
 
 
 def _get_diagram(args):
@@ -69,7 +62,7 @@ def cmd_color_count(args, out):
 
 def cmd_mincol(args, out):
     d = _get_diagram(args)
-    res = min_colors_diagram(d, args.p, budget=_budget())
+    res = min_colors_diagram(d, args.p)
     bound = theorem_lower_bound(args.p)
     if args.format == "json":
         doc = {"p": args.p, "lower_bound": bound}
@@ -152,8 +145,14 @@ def cmd_theorem62(args, out):
 
 
 def _first_nontrivial(d, p):
-    sp = colorings(d, p, budget=_budget())
-    for c in sp.enumerated:
+    """The first nontrivial coloring in enumeration order, or None.
+
+    The trivial colorings form a subspace, and the span is enumerated in
+    `itertools.product` order of the basis coefficients, the last basis
+    vector being the fastest digit.  So the first enumerated coloring
+    outside that subspace is the last basis vector outside it.
+    """
+    for c in reversed(colorings(d, p, budget=0).basis):
         if classify(d, c).kind == NONTRIVIAL:
             return c
     return None

@@ -10,6 +10,7 @@ from knotcol import exactalg
 from knotcol.diagram import Diagram, checkerboard
 from knotcol.exactalg import IntMatrix, _require_odd_prime
 
+# the default cap of colorings(); perfbench/run.py also reads this name
 DEFAULT_BUDGET = 10 ** 6
 
 ONE_TRIVIAL = "one_trivial"
@@ -160,35 +161,30 @@ def theorem_lower_bound(p: int) -> int:
     return p.bit_length() + 1
 
 
-def min_colors_diagram(d: Diagram, p: int,
-                       budget: int = DEFAULT_BUDGET) -> MinColorsResult:
-    """Minimum #colors over the nontrivial colorings of this diagram.
+def min_colors_diagram(d: Diagram, p: int) -> MinColorsResult:
+    """Minimum #colors over the nontrivial colorings of this diagram, with
+    the lexicographically least coloring that attains it as witness.
 
-    Falls back to one representative per affine class (region 0 pinned to
-    0, first nonzero coordinate scaled to 1) when full enumeration would
-    exceed the budget; the color count is an affine invariant, so the
-    quotient loses nothing.
+    Scans one representative per affine class C -> sC + t: region 0
+    colored 0 and first nonzero coordinate 1.  This loses nothing.  The
+    color count and nontriviality are affine invariants, and the least
+    optimal coloring w is itself a representative: w - w[0] is optimal and
+    no larger, so w[0] = 0, and scaling by the inverse of the first nonzero
+    entry of w is optimal and no larger, so that entry is 1.
     """
     _require_odd_prime(p)
     space = colorings(d, p, budget=0)
     bound = theorem_lower_bound(p)
-    if space.dimension <= 2:
-        return MinColorsResult(NO_NONTRIVIAL, None, bound)
-    nreg = len(d.regions)
-    if p ** space.dimension <= budget:
-        candidates = _span([exactalg.ModVector(p, b.values) for b in space.basis],
-                           p, nreg)
-    else:
-        candidates = _affine_representatives(space, p, nreg)
     best = None
     witness = None
-    for values in candidates:
-        c = DehnColoring(p, values)
-        if classify(d, c).kind != NONTRIVIAL:
-            continue
-        ncol = len(set(values))
-        if best is None or (ncol, values) < (best, witness.values):
-            best, witness = ncol, c
+    if space.dimension > 2:
+        for values in _affine_representatives(space, p, len(d.regions)):
+            c = DehnColoring(p, values)
+            if classify(d, c).kind != NONTRIVIAL:
+                continue
+            ncol = len(set(values))
+            if best is None or (ncol, values) < (best, witness.values):
+                best, witness = ncol, c
     if best is None:
         return MinColorsResult(NO_NONTRIVIAL, None, bound)
     return MinColorsResult(best, witness, bound)
@@ -196,20 +192,15 @@ def min_colors_diagram(d: Diagram, p: int,
 
 def _affine_representatives(space: ColoringSpace, p: int, nreg: int):
     """Vectors with value 0 at region 0 and first nonzero coordinate 1."""
-    # basis of the subspace vanishing at region 0: subtract the all-ones
-    # direction (itself a coloring) from each basis vector
-    shifted = []
-    for b in space.basis:
-        w = tuple((v - b.values[0]) % p for v in b.values)
-        if any(w):
-            shifted.append(w)
-    # prune to an independent set mod p
-    basis = []
-    rows = []
-    for w in shifted:
-        if exactalg.rank_mod_p(rows + [list(w)], p) > len(basis):
-            basis.append(exactalg.ModVector(p, w))
-            rows.append(list(w))
+    # basis of the subspace vanishing at region 0, by one elimination step
+    # on coordinate 0; some basis vector is nonzero there, because the
+    # all-ones coloring is in the span
+    vectors = [b.values for b in space.basis]
+    pivot = vectors.pop(next(i for i, v in enumerate(vectors) if v[0]))
+    inv = exactalg.inv_mod_p(pivot[0], p)
+    basis = [exactalg.ModVector(p, tuple((x - v[0] * inv * y) % p
+                                         for x, y in zip(v, pivot)))
+             for v in vectors]
     for values in _span(basis, p, nreg):
         first = next((v for v in values if v), None)
         if first == 1:

@@ -75,9 +75,14 @@ def validate_pd(pd: PDCode) -> PDCode:
     return pd
 
 
-def _require_single_component(pd: PDCode) -> None:
-    # strand continuation joins positions 0-2 (under) and 1-3 (over)
-    parent = {a: a for a in pd.semiarcs()}
+def components(items, pairs) -> dict:
+    """Union-find: {item: root of its class}.
+
+    Each pair (a, b) is joined in the given order by pointing the root of
+    a at the root of b, so the roots, and any order built on them, are
+    fixed by the order of the pairs.  Finds halve the path.
+    """
+    parent = {a: a for a in items}
 
     def find(x):
         while parent[x] != x:
@@ -85,10 +90,15 @@ def _require_single_component(pd: PDCode) -> None:
             x = parent[x]
         return x
 
-    for a, b, c, d in pd.crossings:
-        parent[find(a)] = find(c)
-        parent[find(b)] = find(d)
-    roots = {find(a) for a in parent}
+    for a, b in pairs:
+        parent[find(a)] = find(b)
+    return {a: find(a) for a in parent}
+
+
+def _require_single_component(pd: PDCode) -> None:
+    # strand continuation joins positions 0-2 (under) and 1-3 (over)
+    pairs = (pair for a, b, c, d in pd.crossings for pair in ((a, c), (b, d)))
+    roots = set(components(pd.semiarcs(), pairs).values())
     if len(roots) != 1:
         raise PDError(
             f"PD code describes a link with {len(roots)} components; only knots are supported"
@@ -174,19 +184,10 @@ def build_diagram(pd: PDCode) -> Diagram:
 
     # over-arcs: semiarcs at positions 1 and 3 of a crossing belong to one arc
     labels = pd.semiarcs()
-    parent = {a: a for a in labels}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for quad in pd.crossings:
-        parent[find(quad[1])] = find(quad[3])
+    root = components(labels, ((quad[1], quad[3]) for quad in pd.crossings))
     groups = {}
     for a in labels:
-        groups.setdefault(find(a), []).append(a)
+        groups.setdefault(root[a], []).append(a)
     arcs = tuple(frozenset(g) for _, g in sorted(groups.items()))
     arc_of_semiarc = {a: i for i, g in enumerate(arcs) for a in g}
 

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 
 from knotcol.coloring import DehnColoring, fox_from_dehn
-from knotcol.diagram import Diagram
+from knotcol.diagram import Diagram, components
 from knotcol.exactalg import _require_odd_prime, inv_mod_p
 
 
@@ -96,7 +96,7 @@ def connected_r_witness(g: PaletteGraph):
             raise ValueError("not a full palette graph: edge label is not a vertex")
     edges = dict(g.edges)
     while True:
-        comp = _components(g.vertices, edges)
+        comp = components(g.vertices, edges)
         doomed = [e for e, label in edges.items() if comp[label] != comp[e[0]]]
         if not doomed:
             break
@@ -109,20 +109,6 @@ def connected_r_witness(g: PaletteGraph):
     if not qualifying:
         return NO_WITNESS
     return frozenset(min(qualifying, key=min))
-
-
-def _components(vertices, edges):
-    comp = {v: v for v in vertices}
-
-    def find(x):
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
-            x = comp[x]
-        return x
-
-    for (u, v) in edges:
-        comp[find(u)] = find(v)
-    return {v: find(v) for v in vertices}
 
 
 def palette_graph_of_diagram(d: Diagram, c: DehnColoring) -> PaletteGraph:

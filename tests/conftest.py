@@ -97,9 +97,59 @@ def _connected_spanning(vs, edges):
     return seen == vs
 
 
+ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
 def dividing_primes(det, limit=32):
-    return [p for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
-            if p < limit and det % p == 0]
+    return [p for p in ODD_PRIMES if p < limit and det % p == 0]
+
+
+def torus_pd(n):
+    """PD code of the (2, n) torus knot for odd n >= 3."""
+    def label(x):
+        return (x - 1) % (2 * n) + 1
+    return " ".join(
+        f"X[{label(2 * i + 1)},{label(2 * i + n + 1)},{label(2 * i + 2)},{label(2 * i + n + 2)}]"
+        for i in range(n))
+
+
+def pretzel_pd(twists):
+    """PD code of the pretzel knot P(m_1, ..., m_k), k and every m_i odd.
+
+    Column t is a vertical stack of m_t crossings, each with its corners
+    counterclockwise NW, SW, SE, NE and the SW-NE strand under.  The right
+    top (bottom) end of each column joins the left top (bottom) end of the
+    next, cyclically.  Semiarcs are numbered 1, 2, ... along a walk of the
+    knot, and each crossing is written from its incoming under slot.
+    """
+    k = len(twists)
+
+    def edge(t, right, j):
+        if j in (0, twists[t]):  # joins two columns, at the top or bottom
+            return (j == 0, t if right else (t - 1) % k)
+        return (t, right, j)
+
+    quads = [(edge(t, 0, j), edge(t, 0, j + 1), edge(t, 1, j + 1), edge(t, 1, j))
+             for t, m in enumerate(twists) for j in range(m)]
+    ends = {}
+    for ci, quad in enumerate(quads):
+        for slot, e in enumerate(quad):
+            ends.setdefault(e, []).append((ci, slot))
+    labels, start = {}, {}
+    ci, slot = 0, 1
+    while True:
+        if slot % 2:
+            start.setdefault(ci, slot)
+        exit_slot = (slot + 2) % 4
+        out = quads[ci][exit_slot]
+        if out in labels:
+            break
+        labels[out] = len(labels) + 1
+        ci, slot = next(end for end in ends[out] if end != (ci, exit_slot))
+    assert len(labels) == 2 * len(quads), "the twists describe a link"
+    return " ".join(
+        "X[" + ",".join(str(labels[quad[(start[ci] + r) % 4]]) for r in range(4)) + "]"
+        for ci, quad in enumerate(quads))
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,12 @@
 import io
 import json
 
-from knotcol.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, run
+import pytest
+
+from conftest import ODD_PRIMES, torus_pd
+from knotcol.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, _first_nontrivial, run
+from knotcol.coloring import NONTRIVIAL, classify, colorings
+from knotcol.diagram import CATALOG
 
 TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 
@@ -103,6 +108,23 @@ def test_certify():
     assert all(r["ok"] for r in doc["rank_checks"])
 
 
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_first_nontrivial_is_first_enumerated(catalog, name):
+    d = catalog[name]
+    for p in ODD_PRIMES:
+        expected = next((c for c in colorings(d, p).enumerated
+                         if classify(d, c).kind == NONTRIVIAL), None)
+        assert _first_nontrivial(d, p) == expected, p
+
+
+def test_certify_ignores_budget_variable(monkeypatch):
+    argv = ["certify", "--knot", "3_1", "--p", "3"]
+    expected = invoke(argv)
+    assert expected[0] == EXIT_OK
+    monkeypatch.setenv("KNOTCOL_BUDGET", "1")
+    assert invoke(argv) == expected
+
+
 def test_certify_no_coloring():
     code, text = invoke(["certify", "--knot", "3_1", "--p", "5"])
     assert code == EXIT_FAILURE
@@ -117,6 +139,17 @@ def test_fox():
     assert doc["dehn_colorings"] == 27
     assert doc["fox_colorings"] == 9
     assert doc["p_to_1_ok"] is True
+
+
+def test_fox_example_on_large_torus_knot():
+    # 101^3 Dehn colorings: the example comes from the basis, not a scan
+    code, text = invoke(["fox", "--pd", torus_pd(101), "--p", "101",
+                         "--format", "json"])
+    assert code == EXIT_OK
+    doc = json.loads(text)
+    assert doc["dehn_colorings"] == 101 ** 3
+    assert len(set(doc["example_dehn"])) >= 3
+    assert len(doc["example_fox"]) == 101
 
 
 def test_det():

@@ -3,7 +3,14 @@ from itertools import product
 
 import pytest
 
-from conftest import brute_dehn_colorings, brute_fox_count, dividing_primes
+from conftest import (
+    ODD_PRIMES,
+    brute_dehn_colorings,
+    brute_fox_count,
+    dividing_primes,
+    pretzel_pd,
+    torus_pd,
+)
 from knotcol import exactalg
 from knotcol.coloring import (
     NO_NONTRIVIAL,
@@ -126,10 +133,31 @@ def test_min_colors_witness_is_optimal_coloring(trefoil):
     assert len(res.witness.colors_used()) == res.min_colors
 
 
-def test_min_colors_quotient_agrees_with_full(fig8):
-    full = min_colors_diagram(fig8, 5, budget=10 ** 6)
-    quotient = min_colors_diagram(fig8, 5, budget=10)
-    assert full.min_colors == quotient.min_colors
+def _least_nontrivial(d, p):
+    """(#colors, values), least over every nontrivial coloring, or None."""
+    return min(((len(set(c.values)), c.values) for c in colorings(d, p).enumerated
+                if classify(d, c).kind == NONTRIVIAL), default=None)
+
+
+def _assert_min_colors_is_least_nontrivial(d, p):
+    res = min_colors_diagram(d, p)
+    expected = _least_nontrivial(d, p)
+    if expected is None:
+        assert (res.min_colors, res.witness) == (NO_NONTRIVIAL, None), p
+    else:
+        assert (res.min_colors, res.witness.values) == expected, p
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_min_colors_matches_full_enumeration(catalog, name):
+    for p in ODD_PRIMES:
+        _assert_min_colors_is_least_nontrivial(catalog[name], p)
+
+
+def test_min_colors_matches_full_enumeration_dimension_four():
+    d = build_diagram(parse_pd(pretzel_pd((15, 15, 15))))
+    assert colorings(d, 5, budget=0).dimension == 4
+    _assert_min_colors_is_least_nontrivial(d, 5)
 
 
 def test_min_colors_lower_bound(catalog):
@@ -144,7 +172,7 @@ def test_min_colors_lower_bound(catalog):
 def test_colorability_iff_det_divisible(catalog):
     for d in catalog.values():
         det = knot_determinant(d)
-        for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        for p in ODD_PRIMES:
             dim = colorings(d, p, budget=0).dimension
             assert (dim >= 3) == (det % p == 0)
 
@@ -184,25 +212,26 @@ def test_rank_statements_trefoil(trefoil):
     assert len(exactalg.nullspace_mod_p(m, 5)) == 2
 
 
-def _torus_pd(n):
-    """PD code of the (2, n) torus knot for odd n >= 3."""
-    def label(x):
-        return (x - 1) % (2 * n) + 1
-    return " ".join(
-        f"X[{label(2 * i + 1)},{label(2 * i + n + 1)},{label(2 * i + 2)},{label(2 * i + n + 2)}]"
-        for i in range(n))
-
-
 def test_torus_pd_matches_catalog():
-    assert _torus_pd(3) == CATALOG["3_1"]
-    assert _torus_pd(5) == CATALOG["5_1"]
+    assert torus_pd(3) == CATALOG["3_1"]
+    assert torus_pd(5) == CATALOG["5_1"]
+
+
+def test_pretzel_pd_determinants():
+    # det P(a, b, c) = ab + bc + ca; P(1, 1, 1) is the trefoil and
+    # P(1, 1, 1, 1, 1) the torus knot T(2, 5)
+    for twists, det in (((1, 1, 1), 3), ((1, 1, 1, 1, 1), 5), ((3, 1, 3), 15),
+                        ((5, 7, 9), 143), ((15, 15, 15), 675)):
+        d = build_diagram(parse_pd(pretzel_pd(twists)))
+        assert d.n == sum(twists)
+        assert knot_determinant(d) == det, twists
 
 
 @pytest.mark.parametrize("n", [51, 101, 201])
 def test_ranks_of_large_torus_knots(n):
     # det T(2, n) = n, and the coloring space mod p has dimension 3 when
     # p | n and 2 otherwise; A adds the row e_0, which cuts one dimension
-    d = build_diagram(parse_pd(_torus_pd(n)))
+    d = build_diagram(parse_pd(torus_pd(n)))
     m, a = coloring_matrix(d), alexander_matrix_at_minus_one(d)
     assert exactalg.rank_int(m) == n
     assert exactalg.rank_int(a) == n + 1

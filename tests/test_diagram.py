@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from knotcol.diagram import (
@@ -7,6 +9,7 @@ from knotcol.diagram import (
     build_diagram,
     catalog_diagram,
     checkerboard,
+    components,
     parse_pd,
 )
 
@@ -52,6 +55,38 @@ def test_arc_counts():
     assert len(build_diagram(parse_pd(TREFOIL)).arcs) == 3
     assert len(build_diagram(parse_pd(FIG8_JSON)).arcs) == 4
     assert len(build_diagram(parse_pd(KINK)).arcs) == 1
+
+
+def test_arcs_ordered_by_root_label():
+    # over 4-5, 6-1 and 2-3: each pair joins into its second label, and arcs
+    # are sorted by that root; output such as `fox` lists arcs in this order
+    arcs = build_diagram(parse_pd(TREFOIL)).arcs
+    assert arcs == (frozenset({1, 6}), frozenset({2, 3}), frozenset({4, 5}))
+
+
+def test_components_join_direction():
+    assert components("ab", [("a", "b")]) == {"a": "b", "b": "b"}
+    assert components("abcd", [("a", "b"), ("c", "d"), ("b", "d")]) == dict.fromkeys("abcd", "d")
+    assert components("xyz", []) == {"x": "x", "y": "y", "z": "z"}
+
+
+def test_components_match_reachability():
+    rng = random.Random(7)
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 12))]
+        root = components(range(n), pairs)
+        for v in range(n):
+            seen, stack = {v}, [v]
+            while stack:
+                u = stack.pop()
+                for a, b in pairs:
+                    for x, y in ((a, b), (b, a)):
+                        if x == u and y not in seen:
+                            seen.add(y)
+                            stack.append(y)
+            assert {w for w in range(n) if root[w] == root[v]} == seen
+            assert root[root[v]] == root[v]
 
 
 def test_semiarcs_border_two_regions():
