@@ -91,10 +91,9 @@ class RankCheck:
     detail: str
 
 
-def rank_checks(d: Diagram, c: DehnColoring, p: int) -> list:
+def rank_checks(d: Diagram, c: DehnColoring) -> list:
     """Verify the rank statements for M, A_D(-1), and B on this instance."""
-    if c.p != p:
-        raise ValueError("coloring modulus does not match p")
+    p = c.p
     if classify(d, c).kind != NONTRIVIAL:
         raise TrivialColoringError("rank checks require a nontrivial coloring")
     n = d.n
@@ -127,50 +126,50 @@ def rank_checks(d: Diagram, c: DehnColoring, p: int) -> list:
     return report
 
 
-def merge_columns(m: AugmentedMatrix, c: DehnColoring | None = None) -> IntMatrix:
+def merge_columns(m: AugmentedMatrix) -> IntMatrix:
     """Sum together the columns of regions sharing a color.
 
     Output columns are ordered by increasing color value, so the merged
     matrix has one column per color used.
     """
-    if c is None:
-        c = m.coloring
-    rows = m.full().row_list()
-    colors = sorted(set(c.values))
+    values = m.coloring.values
+    column = {color: j for j, color in enumerate(sorted(set(values)))}
     merged = []
-    for row in rows:
-        merged.append([
-            sum(e for e, v in zip(row, c.values) if v == color)
-            for color in colors
-        ])
+    for row in m.full().row_list():
+        out = [0] * len(column)
+        for e, v in zip(row, values):
+            out[column[v]] += e
+        merged.append(out)
     return IntMatrix.from_rows(merged)
 
 
-def extract_certificate(d: Diagram, c: DehnColoring, p: int) -> Certificate:
-    if c.p != p:
-        raise ValueError("coloring modulus does not match p")
-    aug = augmented_matrix(d, c)
-    m2 = merge_columns(aug)
+def extract_certificate(d: Diagram, c: DehnColoring) -> Certificate:
+    p = c.p
+    m2 = merge_columns(augmented_matrix(d, c))
     rows = m2.row_list()
     ell = m2.cols
     k = ell - 1
     for cols in combinations(range(ell), k):
-        for rsel in combinations(range(m2.rows), k):
-            sub = [[rows[r][cc] for cc in cols] for r in rsel]
-            det = exactalg.det_int(sub)
-            if det == 0:
-                continue
-            violations = []
-            if det % p != 0:
-                violations.append(f"det {det} not divisible by p={p}")
-            if not (p <= abs(det) <= 2 ** k):
-                violations.append(
-                    f"|det| = {abs(det)} outside [{p}, 2^{k} = {2 ** k}]"
-                )
-            star = tuple(check_star(sub))
-            if not all(star):
-                violations.append("a selected row violates the multiset condition")
-            return Certificate(ell, m2, rsel, cols, det, star, tuple(violations))
+        # combinations is lex order, and a matroid's lex-first basis is the
+        # greedy one: the rows outside the span of earlier rows, which are the
+        # pivot columns of the block's transpose over Q, whatever pivots are used
+        rsel = tuple(sorted(exactalg._eliminate(
+            [[row[cc] for row in rows] for cc in cols])))
+        if len(rsel) < k:
+            continue
+        sub = [[rows[r][cc] for cc in cols] for r in rsel]
+        det = exactalg.det_int(sub)
+        violations = []
+        if det % p != 0:
+            violations.append(f"det {det} not divisible by p={p}")
+        if not (p <= abs(det) <= 2 ** k):
+            violations.append(
+                f"|det| = {abs(det)} outside [{p}, 2^{k} = {2 ** k}]"
+            )
+        star = tuple(check_star(sub))
+        if not all(star):
+            violations.append("a selected row violates the multiset condition")
+        return Certificate(ell, m2, rsel, cols, det, star, tuple(violations))
     raise CertificateError(
         "certificate extraction failed: no nonsingular submatrix found"
     )

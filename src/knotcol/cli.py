@@ -164,8 +164,8 @@ def cmd_certify(args, out):
     if c is None:
         print(f"no nontrivial coloring mod {args.p}", file=out)
         return EXIT_FAILURE
-    checks = certificates.rank_checks(d, c, args.p)
-    cert = certificates.extract_certificate(d, c, args.p)
+    checks = certificates.rank_checks(d, c)
+    cert = certificates.extract_certificate(d, c)
     ok = all(r.ok for r in checks) and not cert.violations
     if args.format == "json":
         doc = {

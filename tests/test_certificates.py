@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from conftest import dividing_primes
@@ -70,14 +72,20 @@ def test_variant_a_shifts_region0_to_zero(catalog):
     assert seen_a, "no variant-A instance in the whole catalog"
 
 
-def test_merge_row_arithmetic():
-    aug_row = [1, -1, 1, -1]
-    colors = (0, 1, 0, 2)
-    merged = [
-        sum(e for e, v in zip(aug_row, colors) if v == color)
-        for color in sorted(set(colors))
-    ]
-    assert merged == [2, -1, -1]
+def test_merge_row_arithmetic(catalog):
+    # merged column j is the sum of the columns of the regions with the
+    # j-th smallest color
+    for d in catalog.values():
+        for p in dividing_primes(knot_determinant(d)):
+            for c in nontrivial_colorings(d, p):
+                aug = augmented_matrix(d, c)
+                values = aug.coloring.values
+                expected = [
+                    [sum(e for e, v in zip(row, values) if v == color)
+                     for color in sorted(set(values))]
+                    for row in aug.full().row_list()
+                ]
+                assert merge_columns(aug).row_list() == expected
 
 
 def test_merge_columns_shapes(trefoil):
@@ -114,7 +122,7 @@ def test_rank_checks_catalog(catalog):
     for d in catalog.values():
         for p in dividing_primes(knot_determinant(d)):
             c = nontrivial_colorings(d, p)[0]
-            report = rank_checks(d, c, p)
+            report = rank_checks(d, c)
             assert report, "empty report"
             for item in report:
                 assert item.ok, f"{item.claim}: {item.detail}"
@@ -124,7 +132,7 @@ def test_certificate_catalog(catalog):
     for d in catalog.values():
         for p in dividing_primes(knot_determinant(d)):
             for c in nontrivial_colorings(d, p)[:5]:
-                cert = extract_certificate(d, c, p)
+                cert = extract_certificate(d, c)
                 ell = cert.ell
                 assert cert.det_value != 0
                 assert cert.det_value % p == 0
@@ -135,17 +143,42 @@ def test_certificate_catalog(catalog):
                 assert 2 ** (ell - 1) >= p
 
 
+def scan_certificate(m2):
+    """(rows, cols, det) of the first nonzero (ell-1)-minor of m2, scanning
+    column sets in lex order and, for each, every row set in lex order."""
+    rows = m2.row_list()
+    k = m2.cols - 1
+    for cols in combinations(range(m2.cols), k):
+        for rsel in combinations(range(m2.rows), k):
+            det = exactalg.det_int([[rows[r][cc] for cc in cols] for r in rsel])
+            if det:
+                return rsel, cols, det
+    return None
+
+
+def test_certificate_matches_exhaustive_scan(catalog):
+    seen = 0
+    for d in catalog.values():
+        for p in dividing_primes(knot_determinant(d)):
+            for c in nontrivial_colorings(d, p):
+                cert = extract_certificate(d, c)
+                expected = scan_certificate(merge_columns(augmented_matrix(d, c)))
+                assert (cert.row_indices, cert.col_indices, cert.det_value) == expected
+                seen += 1
+    assert seen == 4180
+
+
 def test_certificate_forced_values(trefoil, fig8):
     c3 = nontrivial_colorings(trefoil, 3)[0]
-    assert abs(extract_certificate(trefoil, c3, 3).det_value) == 3
+    assert abs(extract_certificate(trefoil, c3).det_value) == 3
     c5 = next(c for c in nontrivial_colorings(fig8, 5)
               if len(c.colors_used()) == 4)
-    assert abs(extract_certificate(fig8, c5, 5).det_value) == 5
+    assert abs(extract_certificate(fig8, c5).det_value) == 5
 
 
 def test_certificate_requires_nontrivial(trefoil):
     with pytest.raises(TrivialColoringError):
-        extract_certificate(trefoil, DehnColoring(3, (1,) * 5), 3)
+        extract_certificate(trefoil, DehnColoring(3, (1,) * 5))
 
 
 def test_merged_rank_claims(catalog):

@@ -4,9 +4,11 @@ import json
 import pytest
 
 from conftest import ODD_PRIMES, torus_pd
+from knotcol import exactalg
+from knotcol.certificates import augmented_matrix, check_star, merge_columns
 from knotcol.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, _first_nontrivial, run
-from knotcol.coloring import NONTRIVIAL, classify, colorings
-from knotcol.diagram import CATALOG
+from knotcol.coloring import NONTRIVIAL, DehnColoring, classify, colorings
+from knotcol.diagram import CATALOG, build_diagram, parse_pd
 
 TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 
@@ -106,6 +108,29 @@ def test_certify():
     assert doc["certificate"]["violations"] == []
     assert doc["certificate"]["det"] % 3 == 0
     assert all(r["ok"] for r in doc["rank_checks"])
+
+
+@pytest.mark.parametrize("n,p", [(35, 7), (51, 17), (101, 101)])
+def test_certify_large_torus_knot(n, p):
+    pd = torus_pd(n)
+    code, text = invoke(["certify", "--pd", pd, "--p", str(p), "--format", "json"])
+    assert code == EXIT_OK
+    doc = json.loads(text)
+    cert = doc["certificate"]
+    ell, det = cert["colors"], cert["det"]
+    assert ell == len(set(doc["coloring"]))
+    assert det % p == 0
+    assert p <= abs(det) <= 2 ** (ell - 1)
+    assert cert["violations"] == []
+    assert all(r["ok"] for r in doc["rank_checks"])
+    # recompute the selected submatrix from the reported coloring
+    d = build_diagram(parse_pd(pd))
+    c = DehnColoring(p, tuple(doc["coloring"]))
+    rows = merge_columns(augmented_matrix(d, c)).row_list()
+    sub = [[rows[r][j] for j in cert["cols"]] for r in cert["rows"]]
+    assert len(sub) == ell - 1
+    assert all(check_star(sub))
+    assert exactalg.det_int(sub) == det
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
