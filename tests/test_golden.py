@@ -1,0 +1,65 @@
+"""Golden CLI outputs: the exit code and stdout of a fixed set of commands,
+byte for byte.
+
+The cases are `det`, and `color-count`, `mincol`, `fox` and `certify` in
+table and JSON format at p in {3, 5, 7, 11, 13}, on every catalog knot,
+T(2,35) and P(5,3,7), plus `theorem62` in both formats.  When an output is
+meant to change, regenerate the file with
+
+    PYTHONPATH=src python3 tests/test_golden.py
+
+and review the diff of tests/data/cli_golden.json.
+"""
+
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from conftest import pretzel_pd, torus_pd
+from knotcol.cli import run
+from knotcol.diagram import CATALOG
+
+GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
+
+SOURCES = {name: ["--knot", name] for name in sorted(CATALOG)}
+SOURCES["T(2,35)"] = ["--pd", torus_pd(35)]
+SOURCES["P(5,3,7)"] = ["--pd", pretzel_pd((5, 3, 7))]
+
+CASES = {}
+for _name, _source in SOURCES.items():
+    CASES[f"det {_name}"] = ["det", *_source]
+    for _cmd in ("color-count", "mincol", "fox", "certify"):
+        for _p in (3, 5, 7, 11, 13):
+            for _fmt in ("table", "json"):
+                CASES[f"{_cmd} {_name} p={_p} {_fmt}"] = [
+                    _cmd, *_source, "--p", str(_p), "--format", _fmt]
+for _fmt in ("table", "json"):
+    CASES[f"theorem62 {_fmt}"] = ["theorem62", "--format", _fmt]
+
+
+def invoke(argv):
+    out = io.StringIO()
+    code = run(argv, out)
+    return {"exit": code, "stdout": out.getvalue()}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+def test_golden_has_every_case(golden):
+    assert sorted(golden) == sorted(CASES)
+
+
+@pytest.mark.parametrize("label", list(CASES))
+def test_cli_output_matches_golden(golden, label):
+    assert invoke(CASES[label]) == golden[label]
+
+
+if __name__ == "__main__":
+    doc = {label: invoke(argv) for label, argv in CASES.items()}
+    GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(doc)} cases to {GOLDEN}")
