@@ -23,7 +23,6 @@ from knotcol.coloring import (
     coloring_matrix,
 )
 from knotcol.diagram import Diagram
-from knotcol.exactalg import IntMatrix
 
 VARIANT_A = "A"  # unit extra row, colors refine the checkerboard shading
 VARIANT_B = "B"  # difference row e_i - e_j across the shading
@@ -40,19 +39,19 @@ class CertificateError(RuntimeError):
 @dataclass(frozen=True)
 class AugmentedMatrix:
     variant: str
-    base: IntMatrix          # n x (n+2) coloring matrix
+    base: list               # n x (n+2) coloring matrix
     extra_row: tuple
     indices: tuple           # (0,) for variant A, (i, j) for variant B
     coloring: DehnColoring   # variant A: shifted so region 0 has color 0
 
-    def full(self) -> IntMatrix:
-        return IntMatrix.from_rows(self.base.row_list() + [list(self.extra_row)])
+    def full(self) -> list:
+        return self.base + [self.extra_row]
 
 
 @dataclass(frozen=True)
 class Certificate:
     ell: int                 # number of colors
-    merged: IntMatrix        # (n+1) x ell column-merged matrix
+    merged: list             # (n+1) x ell column-merged matrix
     row_indices: tuple
     col_indices: tuple
     det_value: int
@@ -126,7 +125,7 @@ def rank_checks(d: Diagram, c: DehnColoring) -> list:
     return report
 
 
-def merge_columns(m: AugmentedMatrix) -> IntMatrix:
+def merge_columns(m: AugmentedMatrix) -> list:
     """Sum together the columns of regions sharing a color.
 
     Output columns are ordered by increasing color value, so the merged
@@ -135,19 +134,18 @@ def merge_columns(m: AugmentedMatrix) -> IntMatrix:
     values = m.coloring.values
     column = {color: j for j, color in enumerate(sorted(set(values)))}
     merged = []
-    for row in m.full().row_list():
+    for row in m.full():
         out = [0] * len(column)
         for e, v in zip(row, values):
             out[column[v]] += e
         merged.append(out)
-    return IntMatrix.from_rows(merged)
+    return merged
 
 
 def extract_certificate(d: Diagram, c: DehnColoring) -> Certificate:
     p = c.p
-    m2 = merge_columns(augmented_matrix(d, c))
-    rows = m2.row_list()
-    ell = m2.cols
+    rows = merge_columns(augmented_matrix(d, c))
+    ell = len(rows[0])
     k = ell - 1
     for cols in combinations(range(ell), k):
         # combinations is lex order, and a matroid's lex-first basis is the
@@ -169,7 +167,7 @@ def extract_certificate(d: Diagram, c: DehnColoring) -> Certificate:
         star = tuple(check_star(sub))
         if not all(star):
             violations.append("a selected row violates the multiset condition")
-        return Certificate(ell, m2, rsel, cols, det, star, tuple(violations))
+        return Certificate(ell, rows, rsel, cols, det, star, tuple(violations))
     raise CertificateError(
         "certificate extraction failed: no nonsingular submatrix found"
     )
@@ -191,13 +189,13 @@ def check_star(m) -> list:
     A zero row passes vacuously (its determinant contribution is 0).
     """
     result = []
-    for row in exactalg._rows_of(m):
+    for row in m:
         nonzero = tuple(sorted(e for e in row if e))
         result.append(nonzero == () or nonzero in STAR_MULTISETS)
     return result
 
 
-def random_star_matrix(k: int, seed: int) -> IntMatrix:
+def random_star_matrix(k: int, seed: int) -> list:
     """Random order-k matrix whose rows all satisfy the multiset condition."""
     if k < 1:
         raise ValueError("order must be >= 1")
@@ -212,4 +210,4 @@ def random_star_matrix(k: int, seed: int) -> IntMatrix:
         for pos, e in zip(positions, ms):
             row[pos] = e
         rows.append(row)
-    return IntMatrix.from_rows(rows)
+    return rows

@@ -118,7 +118,7 @@ def cmd_candidates(args, out):
 
 
 def cmd_theorem62(args, out):
-    primes = [args.p] if args.p else list(colorsets.ODD_PRIMES_BELOW_32)
+    primes = [args.p] if args.p is not None else list(colorsets.ODD_PRIMES_BELOW_32)
     ok = True
     reports = []
     for p in primes:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from knotcol import exactalg
 from knotcol.diagram import Diagram, checkerboard
-from knotcol.exactalg import IntMatrix, _require_odd_prime
+from knotcol.exactalg import _require_odd_prime
 
 # the default cap of colorings(); perfbench/run.py also reads this name
 DEFAULT_BUDGET = 10 ** 6
@@ -43,7 +43,7 @@ class FoxColoring:
     values: tuple  # arc index -> residue
 
 
-def coloring_matrix(d: Diagram) -> IntMatrix:
+def coloring_matrix(d: Diagram) -> list:
     """n x (n+2) matrix of the crossing relations x1 - x2 + x3 - x4 = 0."""
     nreg = len(d.regions)
     rows = []
@@ -55,7 +55,7 @@ def coloring_matrix(d: Diagram) -> IntMatrix:
         row[x2] -= 1
         row[x4] -= 1
         rows.append(row)
-    return IntMatrix.from_rows(rows)
+    return rows
 
 
 def is_valid_coloring(d: Diagram, c: DehnColoring) -> bool:
@@ -92,7 +92,7 @@ def colorings(d: Diagram, p: int, budget: int = DEFAULT_BUDGET) -> ColoringSpace
         enumerated = tuple(
             DehnColoring(p, v) for v in _span(basis, p, len(d.regions))
         )
-    return ColoringSpace(p, tuple(DehnColoring(p, b.entries) for b in basis),
+    return ColoringSpace(p, tuple(DehnColoring(p, b) for b in basis),
                          dim, count, enumerated)
 
 
@@ -103,7 +103,7 @@ def _span(basis, p, width):
     carry[j] = sum of v_i for i >= j (mod p)."""
     carry = [[0] * width]
     for b in reversed(basis):
-        carry.append([(x + y) % p for x, y in zip(carry[-1], b.entries)])
+        carry.append([(x + y) % p for x, y in zip(carry[-1], b)])
     carry = carry[:0:-1]
     digits = [0] * len(carry)
     cur = [0] * width
@@ -198,8 +198,7 @@ def _affine_representatives(space: ColoringSpace, p: int, nreg: int):
     vectors = [b.values for b in space.basis]
     pivot = vectors.pop(next(i for i, v in enumerate(vectors) if v[0]))
     inv = exactalg.inv_mod_p(pivot[0], p)
-    basis = [exactalg.ModVector(p, tuple((x - v[0] * inv * y) % p
-                                         for x, y in zip(v, pivot)))
+    basis = [tuple((x - v[0] * inv * y) % p for x, y in zip(v, pivot))
              for v in vectors]
     for values in _span(basis, p, nreg):
         first = next((v for v in values if v), None)
@@ -247,12 +246,11 @@ def fox_colorings_count(d: Diagram, p: int) -> int:
     return p ** (narcs - exactalg.rank_mod_p(rows, p))
 
 
-def alexander_matrix_at_minus_one(d: Diagram) -> IntMatrix:
+def alexander_matrix_at_minus_one(d: Diagram) -> list:
     """The (n+1) x (n+2) coloring matrix augmented with the unit row e1."""
-    base = coloring_matrix(d).row_list()
-    extra = [0] * len(d.regions)
-    extra[0] = 1
-    return IntMatrix.from_rows(base + [extra])
+    e0 = [0] * len(d.regions)
+    e0[0] = 1
+    return coloring_matrix(d) + [e0]
 
 
 def knot_determinant(d: Diagram) -> int:

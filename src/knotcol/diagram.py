@@ -54,7 +54,7 @@ def parse_pd(text: str) -> PDCode:
     for q in quads:
         if len(q) != 4:
             raise PDError(f"crossing {q} does not have 4 semiarc labels")
-        if not all(isinstance(x, int) for x in q):
+        if not all(type(x) is int for x in q):  # bool is an int subclass
             raise PDError(f"non-integer semiarc label in {q}")
     return validate_pd(PDCode(tuple(tuple(q) for q in quads)))
 

@@ -1,13 +1,13 @@
 """Exact linear algebra over Z and Z_p.
 
 All computations use Python's unbounded integers; nothing here ever touches
-floating point.  Matrices are lists of rows, each row a list of ints; the
-thin `IntMatrix` wrapper validates shape at API boundaries.
+floating point.  A matrix is a list of integer rows (tuples are read
+alike), and a vector mod p is a tuple of residues in [0, p).  No function
+here changes its input.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 # perfbench/tracer.py wraps this module attribute to count determinant calls
@@ -70,51 +70,6 @@ def _require_odd_prime(p: int) -> None:
         raise InvalidModulusError(f"invalid modulus: {p} is not an odd prime")
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    rows: int
-    cols: int
-    entries: tuple  # row-major, length rows*cols
-
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("negative dimensions")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match dimensions")
-        if not all(isinstance(e, int) for e in self.entries):
-            raise TypeError("entries must be exact integers")
-
-    @classmethod
-    def from_rows(cls, rows) -> "IntMatrix":
-        rows = [list(r) for r in rows]
-        n = len(rows)
-        m = len(rows[0]) if rows else 0
-        if any(len(r) != m for r in rows):
-            raise ValueError("ragged rows")
-        return cls(n, m, tuple(e for r in rows for e in r))
-
-    def row_list(self):
-        m = self.cols
-        return [list(self.entries[i * m:(i + 1) * m]) for i in range(self.rows)]
-
-
-@dataclass(frozen=True)
-class ModVector:
-    p: int
-    entries: tuple
-
-    def __post_init__(self):
-        _require_odd_prime(self.p)
-        if any(not (0 <= e < self.p) for e in self.entries):
-            raise ValueError("entries must be residues in [0, p)")
-
-
-def _rows_of(m) -> list:
-    if isinstance(m, IntMatrix):
-        return m.row_list()
-    return [list(r) for r in m]
-
-
 def inv_mod_p(a: int, p: int) -> int:
     """Inverse of a modulo an odd prime p."""
     _require_odd_prime(p)
@@ -133,7 +88,7 @@ def _eliminate(m, p=None, reduced=False) -> dict:
     {column: nonzero}}, pivots scaled to 1 over Z_p; `reduced` back
     substitutes in decreasing pivot column order to reduced echelon form.
     """
-    rows = [{j: v for j, v in enumerate(r) if v} for r in _rows_of(m)]
+    rows = [{j: v for j, v in enumerate(r) if v} for r in m]
     if p is not None:
         rows = [{j: x for j, v in r.items() if (x := v % p)} for r in rows]
     lead = {}  # leading column -> indices of the pending rows starting there
@@ -189,13 +144,13 @@ def rank_mod_p(m, p: int) -> int:
 def nullspace_mod_p(m, p: int) -> list:
     """Reduced-echelon basis of the solution space of m*x = 0 over Z_p.
 
-    Basis vectors have a 1 in their free coordinate and are returned in
-    increasing order of that coordinate, so the output is deterministic.
+    Basis vectors are tuples of residues with a 1 in their free coordinate,
+    returned in increasing order of that coordinate, so the output is
+    deterministic.
     """
     _require_odd_prime(p)
-    rows = _rows_of(m)
-    ncols = m.cols if isinstance(m, IntMatrix) else len(rows[0]) if rows else 0
-    pivots = _eliminate(rows, p, reduced=True)
+    ncols = len(m[0]) if m else 0
+    pivots = _eliminate(m, p, reduced=True)
     basis = []
     for free in range(ncols):
         if free in pivots:
@@ -204,19 +159,18 @@ def nullspace_mod_p(m, p: int) -> list:
         v[free] = 1
         for c, r in pivots.items():
             v[c] = -r.get(free, 0) % p
-        basis.append(ModVector(p, tuple(v)))
+        basis.append(tuple(v))
     return basis
 
 
 def det_int(m) -> int:
     """Exact determinant of a square integer matrix."""
-    rows = _rows_of(m)
-    n = len(rows)
-    if any(len(r) != n for r in rows):
+    n = len(m)
+    if any(len(r) != n for r in m):
         raise ValueError("determinant requires a square matrix")
     if n == 0:
         return 1
-    return det_bareiss_small([e for r in rows for e in r], n)
+    return det_bareiss_small([e for r in m for e in r], n)
 
 
 def rank_int(m) -> int:
@@ -230,7 +184,7 @@ def smith_invariant_factors(m) -> list:
     Pivoting picks the smallest nonzero absolute value, which keeps entry
     growth modest at the matrix sizes used here.
     """
-    a = _rows_of(m)
+    a = [list(r) for r in m]
     nr = len(a)
     nc = len(a[0]) if a else 0
     t = 0

@@ -221,4 +221,4 @@ def test_criterion_10_structural_invariants():
             assert det == det_expected, name
             from knotcol.coloring import alexander_matrix_at_minus_one
             a = alexander_matrix_at_minus_one(d)
-            assert det == gcd_of_minors(a.row_list(), d.n + 1), name
+            assert det == gcd_of_minors(a, d.n + 1), name

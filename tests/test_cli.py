@@ -126,7 +126,7 @@ def test_certify_large_torus_knot(n, p):
     # recompute the selected submatrix from the reported coloring
     d = build_diagram(parse_pd(pd))
     c = DehnColoring(p, tuple(doc["coloring"]))
-    rows = merge_columns(augmented_matrix(d, c)).row_list()
+    rows = merge_columns(augmented_matrix(d, c))
     sub = [[rows[r][j] for j in cert["cols"]] for r in cert["rows"]]
     assert len(sub) == ell - 1
     assert all(check_star(sub))
@@ -197,4 +197,7 @@ def test_usage_errors():
         == EXIT_USAGE  # modulus not an odd prime
     assert invoke(["mincol", "--knot", "3_1", "--p", str(2**89 - 1)])[0] \
         == EXIT_USAGE  # prime, but beyond the proven primality limit
+    assert invoke(["theorem62", "--p", "0"])[0] == EXIT_USAGE  # no table for 0
+    assert invoke(["det", "--pd", "[[true,4,2,5],[3,6,4,1],[5,2,6,3]]"])[0] \
+        == EXIT_USAGE  # boolean semiarc label
     assert invoke(["nope"])[0] == EXIT_USAGE

@@ -35,7 +35,6 @@ from knotcol.coloring import (
     theorem_lower_bound,
 )
 from knotcol.diagram import CATALOG, build_diagram, catalog_diagram, parse_pd
-from knotcol.exactalg import ModVector
 
 
 @pytest.fixture(scope="module")
@@ -50,8 +49,8 @@ def fig8():
 
 def test_coloring_matrix_shape_and_row_sums(trefoil):
     m = coloring_matrix(trefoil)
-    assert (m.rows, m.cols) == (3, 5)
-    for row in m.row_list():
+    assert (len(m), len(m[0])) == (3, 5)
+    for row in m:
         assert sum(row) == 0
         assert sorted(e for e in row if e) == [-1, -1, 1, 1]
 
@@ -59,8 +58,8 @@ def test_coloring_matrix_shape_and_row_sums(trefoil):
 def test_coloring_matrix_kink_merged_entries():
     d = build_diagram(parse_pd("X[1,2,2,1]"))
     m = coloring_matrix(d)
-    assert (m.rows, m.cols) == (1, 3)
-    row = m.row_list()[0]
+    assert (len(m), len(m[0])) == (1, 3)
+    row = m[0]
     assert sum(row) == 0
     # two quadrants coincide, so entries merge
     assert sorted(e for e in row if e) != [-1, -1, 1, 1]
@@ -248,10 +247,10 @@ def test_span_matches_product_order():
         for dim in range(4):
             for _ in range(5):
                 width = rng.randint(1, 6)
-                basis = [ModVector(p, tuple(rng.randrange(p) for _ in range(width)))
+                basis = [tuple(rng.randrange(p) for _ in range(width))
                          for _ in range(dim)]
                 expected = [
-                    tuple(sum(c * b.entries[j] for c, b in zip(coeffs, basis)) % p
+                    tuple(sum(c * b[j] for c, b in zip(coeffs, basis)) % p
                           for j in range(width))
                     for coeffs in product(range(p), repeat=dim)]
                 assert list(_span(basis, p, width)) == expected, (p, basis)

@@ -35,8 +35,13 @@ def test_parse_pd_rejects_arity():
 
 
 def test_parse_pd_rejects_bad_labels():
-    with pytest.raises(PDError):
-        parse_pd("X[1,2,3,4] X[1,2,3,5]")
+    # JSON true and false are Python bools, an int subclass equal to 1 and 0;
+    # with 1 in place of true the first JSON code is the trefoil
+    for text in ("X[1,2,3,4] X[1,2,3,5]",
+                 "[[true,4,2,5],[3,6,4,1],[5,2,6,3]]",
+                 "[[false,4,2,5],[3,6,4,false],[5,2,6,3]]"):
+        with pytest.raises(PDError):
+            parse_pd(text)
 
 
 def test_parse_pd_rejects_links():

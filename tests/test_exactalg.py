@@ -9,7 +9,6 @@ from conftest import det_cofactor, gcd_of_minors
 from knotcol import exactalg
 from knotcol.coloring import coloring_matrix
 from knotcol.exactalg import (
-    IntMatrix,
     InvalidModulusError,
     NotInvertibleError,
     PRIMALITY_LIMIT,
@@ -155,7 +154,7 @@ def test_nullspace_dimension_and_membership():
         assert len(basis) == nc - rank_mod_p(rows, p)
         for v in basis:
             for row in rows:
-                assert sum(a * b for a, b in zip(row, v.entries)) % p == 0
+                assert sum(a * b for a, b in zip(row, v)) % p == 0
 
 
 def _random_matrices(seed=20261018, count=300):
@@ -219,29 +218,46 @@ def _nullspace_gauss_jordan(rows, ncols, p):
 
 def test_ranks_match_minor_oracle():
     for rows in _random_matrices():
-        m = IntMatrix.from_rows(rows)
-        assert rank_int(rows) == rank_int(m) == _rank_by_minors(rows), rows
+        assert rank_int(rows) == _rank_by_minors(rows), rows
         for p in (3, 5, 7):
-            assert rank_mod_p(rows, p) == rank_mod_p(m, p) == _rank_by_minors(rows, p), (rows, p)
+            assert rank_mod_p(rows, p) == _rank_by_minors(rows, p), (rows, p)
 
 
 def test_nullspace_matches_gauss_jordan():
     for rows in _random_matrices():
         for p in (3, 5, 7):
-            got = [v.entries for v in nullspace_mod_p(rows, p)]
+            got = nullspace_mod_p(rows, p)
             assert got == _nullspace_gauss_jordan(rows, len(rows[0]), p), (rows, p)
-    # no rows: the column count comes from the IntMatrix
-    empty = IntMatrix(0, 4, ())
-    assert rank_mod_p(empty, 3) == rank_int(empty) == 0
-    assert [v.entries for v in nullspace_mod_p(empty, 3)] == _nullspace_gauss_jordan([], 4, 3)
+    assert rank_mod_p([], 3) == rank_int([]) == 0
+    assert nullspace_mod_p([], 3) == []
 
 
 def test_nullspace_of_catalog_coloring_matrices(catalog):
     for name, d in catalog.items():
         m = coloring_matrix(d)
         for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
-            got = [v.entries for v in nullspace_mod_p(m, p)]
-            assert got == _nullspace_gauss_jordan(m.row_list(), m.cols, p), (name, p)
+            got = nullspace_mod_p(m, p)
+            assert got == _nullspace_gauss_jordan(m, len(m[0]), p), (name, p)
+
+
+def test_input_contract():
+    # lists of lists and tuples of tuples give the same answers, no routine
+    # changes its input, and nullspace vectors are tuples of residues
+    def check(f, rows):
+        before = [list(r) for r in rows]
+        assert f(rows) == f(tuple(map(tuple, rows))), (f, rows)
+        assert rows == before, f
+
+    for rows in _random_matrices(seed=7, count=100):
+        for f in (rank_int, smith_invariant_factors,
+                  lambda m: rank_mod_p(m, 5), lambda m: nullspace_mod_p(m, 5)):
+            check(f, rows)
+        k = min(len(rows), len(rows[0]))
+        check(det_int, [r[:k] for r in rows[:k]])
+        for p in (3, 5, 7):
+            for v in nullspace_mod_p(rows, p):
+                assert type(v) is tuple and len(v) == len(rows[0])
+                assert all(type(x) is int and 0 <= x < p for x in v)
 
 
 def test_smith_basic():
@@ -270,12 +286,3 @@ def test_smith_divisibility_chain():
         for a, b in zip(factors, factors[1:]):
             assert b % a == 0
 
-
-def test_intmatrix_validation():
-    with pytest.raises(ValueError):
-        IntMatrix(2, 2, (1, 2, 3))
-    with pytest.raises(TypeError):
-        IntMatrix(1, 1, (1.5,))
-    m = IntMatrix.from_rows([[1, 2], [3, 4]])
-    assert m.rows == 2 and m.cols == 2
-    assert det_int(m) == -2
