@@ -149,8 +149,9 @@ def extract_certificate(d: Diagram, c: DehnColoring) -> Certificate:
     k = ell - 1
     for cols in combinations(range(ell), k):
         # combinations is lex order, and a matroid's lex-first basis is the
-        # greedy one: the rows outside the span of earlier rows, which are the
-        # pivot columns of the block's transpose over Q, whatever pivots are used
+        # greedy one: the rows outside the rational span of earlier rows,
+        # which are the pivot columns of the block's transpose reduced over Z,
+        # whatever pivots are used
         rsel = tuple(sorted(exactalg._eliminate(
             [[row[cc] for row in rows] for cc in cols])))
         if len(rsel) < k:

@@ -22,7 +22,6 @@ from knotcol.coloring import (
     fox_from_dehn,
     knot_determinant,
     min_colors_diagram,
-    theorem_lower_bound,
 )
 from knotcol.diagram import CATALOG, PDError, build_diagram, catalog_diagram, parse_pd
 
@@ -63,9 +62,8 @@ def cmd_color_count(args, out):
 def cmd_mincol(args, out):
     d = _get_diagram(args)
     res = min_colors_diagram(d, args.p)
-    bound = theorem_lower_bound(args.p)
     if args.format == "json":
-        doc = {"p": args.p, "lower_bound": bound}
+        doc = {"p": args.p, "lower_bound": res.lower_bound}
         if res.min_colors == NO_NONTRIVIAL:
             doc["min_colors"] = None
         else:
@@ -74,7 +72,7 @@ def cmd_mincol(args, out):
         print(_jsonify(doc), file=out)
     else:
         print(f"p = {args.p}", file=out)
-        print(f"lower bound = {bound}", file=out)
+        print(f"lower bound = {res.lower_bound}", file=out)
         if res.min_colors == NO_NONTRIVIAL:
             print("no nontrivial coloring", file=out)
         else:

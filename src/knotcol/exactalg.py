@@ -80,13 +80,22 @@ def inv_mod_p(a: int, p: int) -> int:
 
 
 def _eliminate(m, p=None, reduced=False) -> dict:
-    """Sparse row reduction of m over Z_p, or over Q when p is None.
+    """Sparse row reduction of m over Z_p, or over Z when p is None.
 
-    Columns go left to right; the pivot of column c is the pending row with
-    a nonzero there and the fewest nonzeros (the first on a tie), and only
-    rows with a nonzero in c change.  Returns {pivot column: row as a dict
-    {column: nonzero}}, pivots scaled to 1 over Z_p; `reduced` back
-    substitutes in decreasing pivot column order to reduced echelon form.
+    Columns go left to right.  The pivot of column c is the pending row
+    with the least |entry| there, then the fewest nonzeros, then the lowest
+    index; `_clear` replaces each other row with a nonzero in c by its
+    remainder, and a nonzero remainder sends that row and the pivot back to
+    c.  Returns {pivot column: row as a dict {column: nonzero}}, pivots
+    scaled to 1 over Z_p; `reduced` (over Z_p) back substitutes in
+    decreasing pivot column order to reduced echelon form.
+
+    Termination: a nonzero remainder is smaller than the pivot, so the
+    least |entry| in column c strictly falls; over Z_p every remainder is 0.
+    Invariance: each step adds an integer multiple of one row to another,
+    so rank, pivot columns and Smith form stay those of m; on a transpose
+    the pivot columns are the greedy row basis that `extract_certificate`
+    takes, whatever the pivots.
     """
     rows = [{j: v for j, v in enumerate(r) if v} for r in m]
     if p is not None:
@@ -99,16 +108,20 @@ def _eliminate(m, p=None, reduced=False) -> dict:
     while lead:
         c = min(lead)
         touched = lead.pop(c)
-        k = min(touched, key=lambda i: (len(rows[i]), i))
-        piv = pivots[c] = rows[k]
+        k = min(touched, key=lambda i: (abs(rows[i][c]), len(rows[i]), i))
+        piv = rows[k]
         if p is not None:
             inv = pow(piv[c], -1, p)
-            piv = pivots[c] = {j: v * inv % p for j, v in piv.items()}
+            piv = {j: v * inv % p for j, v in piv.items()}
         for i in touched:
             if i != k:
                 r = rows[i] = _clear(rows[i], piv, c, p)
                 if r:
                     lead.setdefault(min(r), []).append(i)
+        if c in lead:
+            lead[c].append(k)
+        else:
+            pivots[c] = piv
     if reduced:
         for c in sorted(pivots, reverse=True):
             for c2 in pivots:
@@ -118,21 +131,19 @@ def _eliminate(m, p=None, reduced=False) -> dict:
 
 
 def _clear(r: dict, piv: dict, c: int, p) -> dict:
-    """(a/g)*r - (f/g)*piv, a = piv[c], f = r[c], g = gcd(a, f): reduced
-    mod p over Z_p, divided by its content over Q (exact, no fractions)."""
-    g = gcd(piv[c], r[c])
-    s, t = piv[c] // g, r[c] // g
-    out = dict(r) if s == 1 else {j: s * v for j, v in r.items()}
+    """r - (r[c] // piv[c]) * piv, reduced mod p over Z_p: what is left in
+    column c is smaller than piv[c] in absolute value, 0 over Z_p."""
+    q = r[c] // piv[c]
+    out = dict(r)
     for j, v in piv.items():
-        x = out.get(j, 0) - t * v
+        x = out.get(j, 0) - q * v
         if p is not None:
             x %= p
         if x:
             out[j] = x
         else:
             del out[j]
-    g = gcd(*out.values()) if p is None else 1
-    return {j: v // g for j, v in out.items()} if g > 1 else out
+    return out
 
 
 def rank_mod_p(m, p: int) -> int:
@@ -174,58 +185,27 @@ def det_int(m) -> int:
 
 
 def rank_int(m) -> int:
-    """Rank over the rationals, by fraction-free elimination."""
+    """Rank over the rationals, by Euclid row reduction over Z."""
     return len(_eliminate(m))
 
 
 def smith_invariant_factors(m) -> list:
     """Invariant factors d1 | d2 | ... of the Smith normal form over Z.
 
-    Pivoting picks the smallest nonzero absolute value, which keeps entry
-    growth modest at the matrix sizes used here.
+    Reduces the rows with `_eliminate`, then the transpose of the pivot
+    rows, until every pivot row has one entry (Kannan and Bachem, SIAM J.
+    Comput. 1979); each pass keeps the Smith form.  The first pivot's
+    |entry| is the gcd of a set holding its last value, so it falls until
+    it divides its row; the next pass leaves it alone in its row and
+    column, and the rest is a smaller matrix.
     """
-    a = [list(r) for r in m]
-    nr = len(a)
-    nc = len(a[0]) if a else 0
-    t = 0
-    diag = []
-    while t < min(nr, nc):
-        piv = None
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
-                    best = abs(a[i][j])
-                    piv = (i, j)
-        if piv is None:
-            break
-        i0, j0 = piv
-        a[t], a[i0] = a[i0], a[t]
-        for r in a:
-            r[t], r[j0] = r[j0], r[t]
-        # clear row/column t; restart if a reduction produces a smaller pivot
-        while True:
-            dirty = False
-            for i in range(t + 1, nr):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        dirty = True
-            for j in range(t + 1, nc):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    for r in a:
-                        r[j] -= q * r[t]
-                    if a[t][j]:
-                        for r in a:
-                            r[t], r[j] = r[j], r[t]
-                        dirty = True
-            if not dirty:
-                break
-        diag.append(abs(a[t][t]))
-        t += 1
+    n = min(len(m), len(m[0])) if m else 0
+    pivots = _eliminate(m)
+    while any(len(r) > 1 for r in pivots.values()):
+        rows = list(pivots.values())
+        cols = sorted(set().union(*rows))
+        pivots = _eliminate([[r.get(j, 0) for r in rows] for j in cols])
+    diag = [abs(v) for r in pivots.values() for v in r.values()]
     # enforce divisibility chain
     k = len(diag)
     changed = True
@@ -238,4 +218,4 @@ def smith_invariant_factors(m) -> list:
                     lcm = diag[i] // g * diag[j]
                     diag[i], diag[j] = g, lcm
                     changed = True
-    return sorted(diag) + [0] * (min(nr, nc) - k)
+    return sorted(diag) + [0] * (n - k)

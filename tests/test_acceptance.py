@@ -17,7 +17,6 @@ from conftest import (
 )
 from knotcol import exactalg
 from knotcol.certificates import (
-    augmented_matrix,
     check_star,
     extract_certificate,
     random_star_matrix,
@@ -38,13 +37,12 @@ from knotcol.coloring import (
     theorem_lower_bound,
 )
 from knotcol.colorsets import (
-    EXPECTED_CANDIDATES,
     ODD_PRIMES_BELOW_32,
     candidates,
     enumerate_classes,
     theorem62_report,
 )
-from knotcol.diagram import CATALOG, catalog_diagram
+from knotcol.diagram import catalog_diagram
 from knotcol.palette import (
     NO_WITNESS,
     connected_r_witness,

@@ -234,6 +234,8 @@ def test_ranks_of_large_torus_knots(n):
     m, a = coloring_matrix(d), alexander_matrix_at_minus_one(d)
     assert exactalg.rank_int(m) == n
     assert exactalg.rank_int(a) == n + 1
+    assert exactalg.smith_invariant_factors(a) == [1] * n + [n]
+    assert knot_determinant(d) == n
     for p in (3, 5, 17, 67, 101):
         drop = 1 if n % p == 0 else 0
         assert exactalg.rank_mod_p(m, p) == n - drop, p
