@@ -191,7 +191,8 @@ def min_colors_diagram(d: Diagram, p: int) -> MinColorsResult:
 
 
 def _affine_representatives(space: ColoringSpace, p: int, nreg: int):
-    """Vectors with value 0 at region 0 and first nonzero coordinate 1."""
+    """Vectors with value 0 at region 0 and first nonzero coordinate 1,
+    each once: (p^(dim-1) - 1) / (p - 1) of them."""
     # basis of the subspace vanishing at region 0, by one elimination step
     # on coordinate 0; some basis vector is nonzero there, because the
     # all-ones coloring is in the span
@@ -200,10 +201,15 @@ def _affine_representatives(space: ColoringSpace, p: int, nreg: int):
     inv = exactalg.inv_mod_p(pivot[0], p)
     basis = [tuple((x - v[0] * inv * y) % p for x, y in zip(v, pivot))
              for v in vectors]
-    for values in _span(basis, p, nreg):
-        first = next((v for v in values if v), None)
-        if first == 1:
-            yield values
+    # in echelon form with leading entries 1, the first nonzero coordinate
+    # of sum c_i b_i is the first nonzero c_i, so the representatives are
+    # b_i + span(b_(i+1), ...) for each i
+    pivots = exactalg._eliminate(basis, p)
+    rows = [tuple(pivots[c].get(j, 0) for j in range(nreg))
+            for c in sorted(pivots)]
+    for i, head in enumerate(rows):
+        for tail in _span(rows[i + 1:], p, nreg):
+            yield tuple((x + y) % p for x, y in zip(head, tail))
 
 
 def fox_from_dehn(d: Diagram, c: DehnColoring) -> FoxColoring:

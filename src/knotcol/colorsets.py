@@ -35,6 +35,7 @@ def canonical_affine(s, p: int) -> CanonicalSet:
 
 
 def affine_equivalent(s1, s2, p: int) -> bool:
+    _require_odd_prime(p)
     if len({x % p for x in s1}) != len({x % p for x in s2}):
         return False
     return canonical_affine(s1, p).elements == canonical_affine(s2, p).elements

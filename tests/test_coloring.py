@@ -19,6 +19,7 @@ from knotcol.coloring import (
     TWO_TRIVIAL,
     DehnColoring,
     NotAColoringError,
+    _affine_representatives,
     _span,
     affine_transform,
     alexander_matrix_at_minus_one,
@@ -157,6 +158,43 @@ def test_min_colors_matches_full_enumeration_dimension_four():
     d = build_diagram(parse_pd(pretzel_pd((15, 15, 15))))
     assert colorings(d, 5, budget=0).dimension == 4
     _assert_min_colors_is_least_nontrivial(d, 5)
+
+
+def _assert_projective_representatives(d, p):
+    """_affine_representatives yields, once each, the vectors of the
+    region-0 span whose first nonzero entry is 1: (p^(d-1) - 1)/(p - 1)."""
+    space = colorings(d, p, budget=0)
+    got = list(_affine_representatives(space, p, len(d.regions)))
+    assert len(got) == len(set(got)), p
+    assert len(got) == (p ** (space.dimension - 1) - 1) // (p - 1), p
+    # the reference filter: scan the whole span of the colorings vanishing
+    # at region 0 and keep those whose first nonzero entry is 1
+    vectors = [b.values for b in space.basis]
+    pivot = vectors.pop(next(i for i, v in enumerate(vectors) if v[0]))
+    inv = pow(pivot[0], -1, p)
+    basis = [tuple((x - v[0] * inv * y) % p for x, y in zip(v, pivot))
+             for v in vectors]
+    expected = {v for v in _span(basis, p, len(d.regions))
+                if next((x for x in v if x), None) == 1}
+    assert set(got) == expected, p
+
+
+def test_affine_representatives_match_filter(catalog):
+    checked = 0
+    for d in catalog.values():
+        for p in ODD_PRIMES:
+            if colorings(d, p, budget=0).dimension > 2:
+                _assert_projective_representatives(d, p)
+                checked += 1
+    assert checked > 0
+    d = build_diagram(parse_pd(pretzel_pd((15, 15, 15))))
+    assert colorings(d, 5, budget=0).dimension == 4
+    _assert_projective_representatives(d, 5)
+    # T(2, n) is p-colorable exactly at the primes p | n
+    for n, primes in ((15, (3, 5)), (21, (3, 7)), (23, (23,))):
+        d = build_diagram(parse_pd(torus_pd(n)))
+        for p in primes:
+            _assert_projective_representatives(d, p)
 
 
 def test_min_colors_lower_bound(catalog):

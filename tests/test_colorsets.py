@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from knotcol.coloring import theorem_lower_bound
+from knotcol.exactalg import InvalidModulusError
 from knotcol.colorsets import (
     EXPECTED_CANDIDATES,
     ODD_PRIMES_BELOW_32,
@@ -43,6 +44,11 @@ def test_affine_equivalent():
     assert affine_equivalent({0, 1, 2}, {3, 5, 7}, 11)
     assert not affine_equivalent({0, 1, 2}, {0, 1, 3}, 7)
     assert not affine_equivalent({0, 1}, {0, 1, 2}, 7)
+    # the modulus is checked before anything is reduced by it
+    with pytest.raises(InvalidModulusError):
+        affine_equivalent([1], [2], 0)
+    with pytest.raises(InvalidModulusError):
+        affine_equivalent([1, 2], [2, 5, 7], 4)
 
 
 def test_enumerate_classes_partition_counts():

@@ -5,8 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import det_cofactor, gcd_of_minors
-from knotcol.coloring import coloring_matrix
+from conftest import det_cofactor, gcd_of_minors, torus_pd
+from knotcol import exactalg
+from knotcol.coloring import (
+    alexander_matrix_at_minus_one,
+    coloring_matrix,
+    knot_determinant,
+)
+from knotcol.diagram import build_diagram, parse_pd
 from knotcol.exactalg import (
     InvalidModulusError,
     NotInvertibleError,
@@ -259,9 +265,57 @@ def test_input_contract():
                 assert all(type(x) is int and 0 <= x < p for x in v)
 
 
+def _permute_columns(rows, rng):
+    order = list(range(len(rows[0])))
+    rng.shuffle(order)
+    return [[r[j] for j in order] for r in rows]
+
+
+def test_rank_and_smith_ignore_column_order():
+    # rank_int and smith_invariant_factors take the columns sparse first; a
+    # column permutation is unimodular, so neither answer may move
+    rng = random.Random(31)
+    inputs = list(_random_matrices()) + _smith_inputs()
+    for rows in inputs:
+        rank, factors = rank_int(rows), smith_invariant_factors(rows)
+        for _ in range(3):
+            shuffled = _permute_columns(rows, rng)
+            assert rank_int(shuffled) == rank, rows
+            assert smith_invariant_factors(shuffled) == factors, rows
+
+
+def test_row_updates_linear_on_torus_knot(monkeypatch):
+    # no timing: count the row updates of the elimination core on T(2, n),
+    # which left-to-right column order makes quadratic (n(n-1)/2)
+    n = 201
+    calls = []
+    clear = exactalg._clear
+
+    def counting_clear(*args):
+        calls.append(1)
+        return clear(*args)
+
+    monkeypatch.setattr(exactalg, "_clear", counting_clear)
+    d = build_diagram(parse_pd(torus_pd(n)))
+    for f, bound in ((lambda: rank_int(coloring_matrix(d)), 2 * n),
+                     (lambda: rank_int(alexander_matrix_at_minus_one(d)), 2 * n),
+                     (lambda: knot_determinant(d), 5 * n)):
+        calls.clear()
+        f()
+        assert 0 < len(calls) <= bound, (len(calls), bound)
+
+
 def test_smith_basic():
     assert smith_invariant_factors([[1, 0], [0, 1]]) == [1, 1]
     assert smith_invariant_factors([[2, 0], [0, 4]]) == [2, 4]
+
+
+def _smith_inputs():
+    """Dense 7 x 7 matrices with entries in [-8, 8]: a dense pivot-and-swap
+    Smith loop stalls on some."""
+    rng = random.Random(77)
+    return [[[rng.randint(-8, 8) for _ in range(7)] for _ in range(7)]
+            for _ in range(10)]
 
 
 def test_smith_vs_gcd_of_minors():
@@ -272,10 +326,7 @@ def test_smith_vs_gcd_of_minors():
         nc = rng.randint(1, 4)
         inputs.append([[rng.randint(-5, 5) for _ in range(nc)]
                        for _ in range(nr)])
-    # small dense inputs: a dense pivot-and-swap Smith loop stalls on some
-    rng = random.Random(77)
-    inputs += [[[rng.randint(-8, 8) for _ in range(7)] for _ in range(7)]
-               for _ in range(10)]
+    inputs += _smith_inputs()
     for rows in inputs:
         factors = smith_invariant_factors(rows)
         prod = 1
