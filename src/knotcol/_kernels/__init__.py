@@ -7,26 +7,49 @@ BACKEND = "python"
 
 def canonical_affine_min(elems, p):
     """Lexicographically smallest sorted image of elems under x -> s*x + t,
-    for elems distinct residues mod p and s a unit.
+    for elems distinct residues in range(p) and s a unit.
 
     For two or more elements the minimum starts (0, 1), since any map
     sending one element to 0 and another to 1 gives such an image.  A
     minimising map therefore sends some e to 0 and some f to 1, which fixes
-    it as x -> (x - e) / (f - e).  Only these k(k-1) pair maps are scanned,
-    so the cost is O(k^3 log k) whatever p is.
+    it as x -> (x - e) / d with d = f - e, and the image of that pair map is
+    {r : e + r*d in elems}.  All k(k-1) pair maps are walked in step: each
+    pair carries its point x = e + r*d, which advances by one addition mod p
+    per step r = 2, 3, ...  If some pair's point lies in elems, r is
+    recorded and every pair whose point does not is dropped.  Every pair
+    alive at step r has met exactly the recorded values below r, so its next
+    image element is at least r; a dropped pair's is larger than r, and as
+    all images have k elements it loses the comparison to every survivor.
+    Once k values are recorded they are the minimum, (0, 1, recorded r...).
+
+    The walk stops after k steps, or earlier when one pair is left, so it
+    makes O(k^3) additions and lookups whatever p is.  If fewer than k
+    values are recorded by then, the finish step computes the full image of
+    each survivor, with one inverse of d each, and takes the least.
     """
-    if len(elems) == 1:
-        return (0,)
+    k = len(elems)
+    if k <= 2:
+        return (0, 1)[:k]
+    members = set(elems)
+    pairs = [((f - e) % p, f) for e in elems for f in elems if f != e]
+    image = [0, 1]
+    for r in range(2, k + 2):
+        pairs = [(d, (x + d) % p) for d, x in pairs]
+        hits = [dx for dx in pairs if dx[1] in members]
+        if hits:
+            image.append(r)
+            if len(image) == k:
+                return tuple(image)
+            pairs = hits
+            if len(hits) == 1:
+                break
     best = None
-    for e in elems:
-        diffs = [(x - e) % p for x in elems]
-        for d in diffs:
-            if d:
-                s = pow(d, -1, p)
-                img = [s * y % p for y in diffs]
-                img.sort()
-                if best is None or img < best:
-                    best = img
+    for d, x in pairs:
+        e = (x - r * d) % p
+        s = pow(d, -1, p)
+        img = sorted((y - e) * s % p for y in elems)
+        if best is None or img < best:
+            best = img
     return tuple(best)
 
 

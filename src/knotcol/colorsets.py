@@ -41,17 +41,41 @@ def affine_equivalent(s1, s2, p: int) -> bool:
     return canonical_affine(s1, p).elements == canonical_affine(s2, p).elements
 
 
+# The most subsets containing {0, 1}, and the largest pool of further
+# elements, that enumerate_classes takes on; p = 61 at k = 7 scans C(59, 5),
+# about 5.0M
+SCAN_LIMIT = 10**7
+
+
+def _scan_size(p: int, k: int) -> int:
+    """max(p - 2, C(p - 2, k - 2)), or any value above SCAN_LIMIT once that
+    is certain, without computing a large binomial."""
+    n = p - 2
+    size = 1
+    for i in range(min(k - 2, n - k + 2)):
+        if size > SCAN_LIMIT:
+            break
+        size = size * (n - i) // (i + 1)
+    return max(n, size)
+
+
 def enumerate_classes(p: int, k: int) -> list:
     """Canonical representatives of the affine classes of k-subsets of Z_p.
 
     For k >= 2 every class has a member containing both 0 and 1 (map any
-    two elements there), so only those subsets are scanned.
+    two elements there), so only those subsets are scanned.  The scan is
+    refused with ValueError, before it starts, when the pool of p - 2 further
+    elements or the C(p - 2, k - 2) subsets exceed SCAN_LIMIT (10^7).
     """
     _require_odd_prime(p)
     if not 1 <= k <= p:
         raise ValueError(f"size must be between 1 and {p}")
     if k == 1:
         return [CanonicalSet(p, (0,))]
+    if _scan_size(p, k) > SCAN_LIMIT:
+        raise ValueError(f"p = {p}, size = {k}: the class scan takes C({p - 2}, "
+                         f"{k - 2}) subsets of {p - 2} elements, over the "
+                         f"limit of {SCAN_LIMIT}")
     seen = set()
     for rest in combinations(range(2, p), k - 2):
         elems = (0, 1) + rest

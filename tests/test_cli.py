@@ -198,6 +198,12 @@ def test_usage_errors():
     assert invoke(["mincol", "--knot", "3_1", "--p", str(2**89 - 1)])[0] \
         == EXIT_USAGE  # prime, but beyond the proven primality limit
     assert invoke(["theorem62", "--p", "0"])[0] == EXIT_USAGE  # no table for 0
+    # the class scan's pool of p - 2 elements is over the limit, so it is
+    # refused before anything is allocated; a pool of 10^6 is not
+    for size in ("3", "2"):
+        assert invoke(["candidates", "--p", str(2**61 - 1), "--size", size])[0] \
+            == EXIT_USAGE
+    assert invoke(["candidates", "--p", "1000003", "--size", "2"])[0] == EXIT_OK
     assert invoke(["det", "--pd", "[[true,4,2,5],[3,6,4,1],[5,2,6,3]]"])[0] \
         == EXIT_USAGE  # boolean semiarc label
     assert invoke(["nope"])[0] == EXIT_USAGE

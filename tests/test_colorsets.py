@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from knotcol import colorsets
 from knotcol.coloring import theorem_lower_bound
 from knotcol.exactalg import InvalidModulusError
 from knotcol.colorsets import (
@@ -88,6 +89,27 @@ def test_enumerate_classes_burnside_count():
     for p in (3, 5, 7, 11, 13):
         for k in range(1, p + 1):
             assert len(enumerate_classes(p, k)) == _burnside_class_count(p, k)
+
+
+def test_classes_beyond_the_paper():
+    # no published table past 31; the Burnside count and "no candidates
+    # below the critical size" (7 at these p) still hold
+    for p in (37, 41, 43):
+        assert theorem_lower_bound(p) == 7
+        for k in range(1, 6):
+            assert len(enumerate_classes(p, k)) == _burnside_class_count(p, k)
+            assert candidates(p, k) == []
+
+
+def test_enumerate_classes_scan_limit():
+    # p = 61 at k = 7 scans C(59, 5), about 5.0M subsets: under the limit
+    assert colorsets._scan_size(61, 7) == math.comb(59, 5) <= colorsets.SCAN_LIMIT
+    assert colorsets._scan_size(67, 8) > colorsets.SCAN_LIMIT
+    # a pool of p - 2 = 10^7 + 17 elements is over the limit even at k = 2
+    for p, k in ((10**7 + 19, 2), (67, 8)):
+        with pytest.raises(ValueError):
+            enumerate_classes(p, k)
+    assert enumerate_classes(2**61 - 1, 1)[0].elements == (0,)  # no scan
 
 
 def test_enumerate_classes_distinct_and_sorted():

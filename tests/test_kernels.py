@@ -1,6 +1,8 @@
 import random
+from itertools import combinations
 
 from knotcol import _kernels
+from knotcol.coloring import theorem_lower_bound
 
 
 def test_backend_reported():
@@ -15,6 +17,23 @@ def test_fallback_det_known_values():
 def _min_over_all_affine_maps(elems, p):
     return min(tuple(sorted((a * x + b) % p for x in elems))
                for a in range(1, p) for b in range(p))
+
+
+def _min_over_pair_maps(elems, p):
+    """The least sorted image under the k(k-1) maps x -> (x - e) / (f - e),
+    each image built and sorted in full."""
+    if len(elems) == 1:
+        return (0,)
+    best = None
+    for e in elems:
+        diffs = [(x - e) % p for x in elems]
+        for d in diffs:
+            if d:
+                s = pow(d, -1, p)
+                img = sorted(s * y % p for y in diffs)
+                if best is None or img < best:
+                    best = img
+    return tuple(best)
 
 
 def test_canonical_matches_all_maps_every_subset():
@@ -38,3 +57,39 @@ def test_canonical_matches_all_maps_random_subsets():
         assert _kernels.canonical_affine_min(elems, p) \
             == _min_over_all_affine_maps(elems, p), (elems, p)
     assert {1, 2} <= sizes and full_set_seen
+
+
+def test_canonical_matches_pair_maps_scanned_subsets():
+    # every subset the class scan meets, up to one past the critical size
+    for p in (3, 5, 7, 11, 13, 17, 19, 23):
+        for k in range(2, min(p, theorem_lower_bound(p) + 1) + 1):
+            for rest in combinations(range(2, p), k - 2):
+                elems = (0, 1) + rest
+                assert _kernels.canonical_affine_min(elems, p) \
+                    == _min_over_pair_maps(elems, p), (elems, p)
+
+
+def test_canonical_matches_pair_maps_large_primes():
+    # at these p a random set's pair-map images have no small elements past
+    # 0 and 1, so the walk ends at its step cap and the finish step answers
+    rng = random.Random(61)
+    for p in (2**31 - 1, 2**61 - 1):
+        for _ in range(300):
+            k = rng.randint(1, 12)
+            elems = tuple(rng.sample(range(p), k))
+            assert _kernels.canonical_affine_min(elems, p) \
+                == _min_over_pair_maps(elems, p), (elems, p)
+
+
+def test_canonical_with_several_survivors():
+    # sets with many affine self-maps, so several pairs share the least image
+    cases = [((1, 2, 4, 8, 16), 31), ((0, 1, 2, 4, 8, 16), 31),
+             ((0, 1, 2, 4, 8, 16), 2**61 - 1)]
+    cases += [(tuple(range(k)), p) for p in (7, 31, 2**31 - 1) for k in (3, 4, 7)]
+    cases += [(tuple(range(p)), p) for p in (3, 5, 7, 11, 13, 31)]
+    for elems, p in cases:
+        assert _kernels.canonical_affine_min(elems, p) \
+            == _min_over_pair_maps(elems, p), (elems, p)
+    assert _kernels.canonical_affine_min((1, 2, 4, 8, 16), 31) == (0, 1, 3, 7, 15)
+    assert _kernels.canonical_affine_min(tuple(range(31)), 31) == tuple(range(31))
+    assert _kernels.canonical_affine_min((5, 9, 13, 17), 2**31 - 1) == (0, 1, 2, 3)
