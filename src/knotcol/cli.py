@@ -142,15 +142,15 @@ def cmd_theorem62(args, out):
     return EXIT_OK if ok else EXIT_FAILURE
 
 
-def _first_nontrivial(d, p):
-    """The first nontrivial coloring in enumeration order, or None.
+def _first_nontrivial(d, space):
+    """The first nontrivial coloring of `space` in enumeration order, or None.
 
     The trivial colorings form a subspace, and the span is enumerated in
     `itertools.product` order of the basis coefficients, the last basis
     vector being the fastest digit.  So the first enumerated coloring
     outside that subspace is the last basis vector outside it.
     """
-    for c in reversed(colorings(d, p, budget=0).basis):
+    for c in reversed(space.basis):
         if classify(d, c).kind == NONTRIVIAL:
             return c
     return None
@@ -158,7 +158,7 @@ def _first_nontrivial(d, p):
 
 def cmd_certify(args, out):
     d = _get_diagram(args)
-    c = _first_nontrivial(d, args.p)
+    c = _first_nontrivial(d, colorings(d, args.p, budget=0))
     if c is None:
         print(f"no nontrivial coloring mod {args.p}", file=out)
         return EXIT_FAILURE
@@ -194,10 +194,10 @@ def cmd_certify(args, out):
 
 def cmd_fox(args, out):
     d = _get_diagram(args)
-    n_dehn = colorings(d, args.p, budget=0).count
-    n_fox = fox_colorings_count(d, args.p)
+    space = colorings(d, args.p, budget=0)
+    n_dehn, n_fox = space.count, fox_colorings_count(d, args.p)
     relation_ok = n_dehn == args.p * n_fox
-    c = _first_nontrivial(d, args.p)
+    c = _first_nontrivial(d, space)
     doc = {"p": args.p, "dehn_colorings": n_dehn, "fox_colorings": n_fox,
            "p_to_1_ok": relation_ok}
     if c is not None:

@@ -145,6 +145,9 @@ def affine_transform(c: DehnColoring, s: int, t: int) -> DehnColoring:
 
 NO_NONTRIVIAL = "no nontrivial coloring"
 
+# most representatives `min_colors_diagram` scans: 13 s at 47 regions
+MINCOL_SCAN_LIMIT = 10 ** 6
+
 
 @dataclass(frozen=True)
 class MinColorsResult:
@@ -171,42 +174,41 @@ def min_colors_diagram(d: Diagram, p: int) -> MinColorsResult:
     optimal coloring w is itself a representative: w - w[0] is optimal and
     no larger, so w[0] = 0, and scaling by the inverse of the first nonzero
     entry of w is optimal and no larger, so that entry is 1.
+
+    The shading is the one trivial representative.  A coloring is trivial
+    when opposite quadrants, which share a shade, agree at every crossing
+    (x1 = x4, x2 = x3).  The Tait graph of a connected diagram is connected,
+    so a trivial coloring is t + s * shading, and as a representative it
+    has t = 0 (region 0 is unshaded) and s = 1.  Refuses, with ValueError,
+    a scan of more than MINCOL_SCAN_LIMIT representatives.
     """
-    _require_odd_prime(p)
     space = colorings(d, p, budget=0)
+    size = (p ** (space.dimension - 1) - 1) // (p - 1)
+    if size > MINCOL_SCAN_LIMIT:
+        raise ValueError(f"mincol scan too large: {size} affine classes at "
+                         f"p = {p}, over the limit {MINCOL_SCAN_LIMIT}")
+    shading = checkerboard(d).shading
+    reps = _affine_representatives(space, p, len(d.regions))
+    best = min(((len(set(v)), v) for v in reps if v != shading), default=None)
     bound = theorem_lower_bound(p)
-    best = None
-    witness = None
-    if space.dimension > 2:
-        for values in _affine_representatives(space, p, len(d.regions)):
-            c = DehnColoring(p, values)
-            if classify(d, c).kind != NONTRIVIAL:
-                continue
-            ncol = len(set(values))
-            if best is None or (ncol, values) < (best, witness.values):
-                best, witness = ncol, c
     if best is None:
         return MinColorsResult(NO_NONTRIVIAL, None, bound)
-    return MinColorsResult(best, witness, bound)
+    return MinColorsResult(best[0], DehnColoring(p, best[1]), bound)
 
 
 def _affine_representatives(space: ColoringSpace, p: int, nreg: int):
     """Vectors with value 0 at region 0 and first nonzero coordinate 1,
-    each once: (p^(dim-1) - 1) / (p - 1) of them."""
-    # basis of the subspace vanishing at region 0, by one elimination step
-    # on coordinate 0; some basis vector is nonzero there, because the
-    # all-ones coloring is in the span
-    vectors = [b.values for b in space.basis]
-    pivot = vectors.pop(next(i for i, v in enumerate(vectors) if v[0]))
-    inv = exactalg.inv_mod_p(pivot[0], p)
-    basis = [tuple((x - v[0] * inv * y) % p for x, y in zip(v, pivot))
-             for v in vectors]
-    # in echelon form with leading entries 1, the first nonzero coordinate
-    # of sum c_i b_i is the first nonzero c_i, so the representatives are
-    # b_i + span(b_(i+1), ...) for each i
-    pivots = exactalg._eliminate(basis, p)
+    each once: (p^(dim-1) - 1) / (p - 1) of them.
+
+    The all-ones coloring is in the span, so one elimination of the basis
+    has a pivot in column 0; the other pivot rows vanish there, so they are
+    an echelon basis b_1, b_2, ..., leading entries 1, of the colorings with
+    region 0 colored 0.  The first nonzero coordinate of sum c_i b_i is the
+    first nonzero c_i: the representatives are b_i + span(b_(i+1), ...).
+    """
+    pivots = exactalg._eliminate([b.values for b in space.basis], p)
     rows = [tuple(pivots[c].get(j, 0) for j in range(nreg))
-            for c in sorted(pivots)]
+            for c in sorted(pivots) if c]
     for i, head in enumerate(rows):
         for tail in _span(rows[i + 1:], p, nreg):
             yield tuple((x + y) % p for x, y in zip(head, tail))

@@ -222,6 +222,10 @@ def smith_invariant_factors(m) -> list:
     The first pass takes the columns sparse first.  A column permutation is
     a unimodular matrix on the right, so the Smith form stays; the later
     passes keep their order, which the argument above needs.
+
+    A sweep of (a, b) -> (gcd, lcm), a Smith equivalence, over the pairs
+    i < j gives d1 | d2 | ...: at each prime it puts the lesser valuation
+    first, so position i ends with the least among the positions >= i.
     """
     n = min(len(m), len(m[0])) if m else 0
     pivots = _eliminate(_sparse_columns_first(m))
@@ -230,16 +234,9 @@ def smith_invariant_factors(m) -> list:
         cols = sorted(set().union(*rows))
         pivots = _eliminate([[r.get(j, 0) for r in rows] for j in cols])
     diag = [abs(v) for r in pivots.values() for v in r.values()]
-    # enforce divisibility chain
-    k = len(diag)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(k):
-            for j in range(i + 1, k):
-                if diag[j] % diag[i] != 0:
-                    g = gcd(diag[i], diag[j])
-                    lcm = diag[i] // g * diag[j]
-                    diag[i], diag[j] = g, lcm
-                    changed = True
-    return sorted(diag) + [0] * (n - k)
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            if diag[j] % diag[i]:
+                g = gcd(diag[i], diag[j])
+                diag[i], diag[j] = g, diag[i] // g * diag[j]
+    return diag + [0] * (n - len(diag))

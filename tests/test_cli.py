@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from conftest import ODD_PRIMES, torus_pd
+from conftest import ODD_PRIMES, pretzel_pd, torus_pd
 from knotcol import exactalg
 from knotcol.certificates import augmented_matrix, check_star, merge_columns
 from knotcol.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, _first_nontrivial, run
@@ -139,7 +139,7 @@ def test_first_nontrivial_is_first_enumerated(catalog, name):
     for p in ODD_PRIMES:
         expected = next((c for c in colorings(d, p).enumerated
                          if classify(d, c).kind == NONTRIVIAL), None)
-        assert _first_nontrivial(d, p) == expected, p
+        assert _first_nontrivial(d, colorings(d, p, budget=0)) == expected, p
 
 
 def test_certify_ignores_budget_variable(monkeypatch):
@@ -198,6 +198,9 @@ def test_usage_errors():
     assert invoke(["mincol", "--knot", "3_1", "--p", str(2**89 - 1)])[0] \
         == EXIT_USAGE  # prime, but beyond the proven primality limit
     assert invoke(["theorem62", "--p", "0"])[0] == EXIT_USAGE  # no table for 0
+    # mincol on P(5^11) at 5 would scan (5^11 - 1) / 4, about 12.2M, vectors
+    assert invoke(["mincol", "--pd", pretzel_pd((5,) * 11), "--p", "5"])[0] \
+        == EXIT_USAGE
     # the class scan's pool of p - 2 elements is over the limit, so it is
     # refused before anything is allocated; a pool of 10^6 is not
     for size in ("3", "2"):

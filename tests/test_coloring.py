@@ -11,7 +11,7 @@ from conftest import (
     pretzel_pd,
     torus_pd,
 )
-from knotcol import exactalg
+from knotcol import coloring, exactalg
 from knotcol.coloring import (
     NO_NONTRIVIAL,
     NONTRIVIAL,
@@ -35,7 +35,13 @@ from knotcol.coloring import (
     min_colors_diagram,
     theorem_lower_bound,
 )
-from knotcol.diagram import CATALOG, build_diagram, catalog_diagram, parse_pd
+from knotcol.diagram import (
+    CATALOG,
+    build_diagram,
+    catalog_diagram,
+    checkerboard,
+    parse_pd,
+)
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +164,45 @@ def test_min_colors_matches_full_enumeration_dimension_four():
     d = build_diagram(parse_pd(pretzel_pd((15, 15, 15))))
     assert colorings(d, 5, budget=0).dimension == 4
     _assert_min_colors_is_least_nontrivial(d, 5)
+
+
+def test_min_colors_matches_full_enumeration_dimension_six():
+    d = build_diagram(parse_pd(pretzel_pd((5,) * 5)))
+    assert colorings(d, 5, budget=0).dimension == 6
+    _assert_min_colors_is_least_nontrivial(d, 5)
+
+
+def _trivial_representatives(d, p):
+    space = colorings(d, p, budget=0)
+    return [v for v in _affine_representatives(space, p, len(d.regions))
+            if classify(d, DehnColoring(p, v)).kind != NONTRIVIAL]
+
+
+def test_shading_is_the_one_trivial_representative(catalog):
+    # the lemma min_colors_diagram rests on, checked with classify
+    for d in catalog.values():
+        for p in ODD_PRIMES:
+            assert _trivial_representatives(d, p) == [checkerboard(d).shading], p
+    d = build_diagram(parse_pd(pretzel_pd((15, 15, 15))))
+    assert _trivial_representatives(d, 5) == [checkerboard(d).shading]
+
+
+def test_affine_representatives_at_dimension_two(catalog):
+    d = catalog["3_1"]
+    space = colorings(d, 5, budget=0)
+    assert space.dimension == 2
+    assert list(_affine_representatives(space, 5, len(d.regions))) \
+        == [checkerboard(d).shading]
+
+
+def test_min_colors_scan_limit(monkeypatch):
+    # P(5^7) at 5: dimension 8, so (5^7 - 1) / 4 = 19,531 representatives
+    d = build_diagram(parse_pd(pretzel_pd((5,) * 7)))
+    monkeypatch.setattr(coloring, "MINCOL_SCAN_LIMIT", 19531)
+    assert min_colors_diagram(d, 5).min_colors == 5
+    monkeypatch.setattr(coloring, "MINCOL_SCAN_LIMIT", 19530)
+    with pytest.raises(ValueError, match="19531 affine classes"):
+        min_colors_diagram(d, 5)
 
 
 def _assert_projective_representatives(d, p):

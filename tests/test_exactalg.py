@@ -335,6 +335,24 @@ def test_smith_vs_gcd_of_minors():
             assert prod == gcd_of_minors(rows, k)
 
 
+@pytest.mark.parametrize("entries", [
+    (12, 18, 8, 27, 5),
+    # in each of these four, some prime has its least valuation among the
+    # positions >= i at one j > i only, so every pair (i, j) needs its swap
+    (210, 105, 70, 42, 30),
+    (1, 30, 15, 10, 6),
+    (1, 1, 6, 3, 2),
+    (1, 1, 1, 2, 1),
+])
+def test_smith_of_diagonals_needing_swaps(entries):
+    rows = [[e if i == j else 0 for j in range(len(entries))]
+            for i, e in enumerate(entries)]
+    prod = 1
+    for k, f in enumerate(smith_invariant_factors(rows), start=1):
+        prod *= f
+        assert prod == gcd_of_minors(rows, k), entries
+
+
 def test_smith_divisibility_chain():
     rng = random.Random(99)
     for size in [4] * 100 + [8] * 5:

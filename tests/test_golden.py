@@ -3,8 +3,8 @@ byte for byte.
 
 The cases are `det`, and `color-count`, `mincol`, `fox` and `certify` in
 table and JSON format at p in {3, 5, 7, 11, 13}, on every catalog knot,
-T(2,35) and P(5,3,7), plus `theorem62` in both formats.  When an output is
-meant to change, regenerate the file with
+T(2,35), P(5,3,7), P(5,5,5) and P(5,5,5,5,5), plus `theorem62` in both
+formats.  When an output is meant to change, regenerate the file with
 
     PYTHONPATH=src python3 tests/test_golden.py
 
@@ -26,6 +26,10 @@ GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 SOURCES = {name: ["--knot", name] for name in sorted(CATALOG)}
 SOURCES["T(2,35)"] = ["--pd", torus_pd(35)]
 SOURCES["P(5,3,7)"] = ["--pd", pretzel_pd((5, 3, 7))]
+# at p = 5 the coloring spaces have dimension 4 and 6: mincol scans 31 and
+# 781 affine class representatives
+SOURCES["P(5,5,5)"] = ["--pd", pretzel_pd((5, 5, 5))]
+SOURCES["P(5,5,5,5,5)"] = ["--pd", pretzel_pd((5, 5, 5, 5, 5))]
 
 CASES = {}
 for _name, _source in SOURCES.items():
