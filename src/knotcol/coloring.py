@@ -145,8 +145,10 @@ def affine_transform(c: DehnColoring, s: int, t: int) -> DehnColoring:
 
 NO_NONTRIVIAL = "no nontrivial coloring"
 
-# most representatives `min_colors_diagram` scans: 13 s at 47 regions
-MINCOL_SCAN_LIMIT = 10 ** 6
+# most work `min_colors_diagram` takes on, counted as representatives times
+# regions, since each representative costs time in proportion to its length:
+# 10^6 representatives of 47 regions took 13 s
+MINCOL_SCAN_LIMIT = 47 * 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -180,15 +182,17 @@ def min_colors_diagram(d: Diagram, p: int) -> MinColorsResult:
     (x1 = x4, x2 = x3).  The Tait graph of a connected diagram is connected,
     so a trivial coloring is t + s * shading, and as a representative it
     has t = 0 (region 0 is unshaded) and s = 1.  Refuses, with ValueError,
-    a scan of more than MINCOL_SCAN_LIMIT representatives.
+    a scan whose representatives times regions exceed MINCOL_SCAN_LIMIT.
     """
     space = colorings(d, p, budget=0)
+    nreg = len(d.regions)
     size = (p ** (space.dimension - 1) - 1) // (p - 1)
-    if size > MINCOL_SCAN_LIMIT:
-        raise ValueError(f"mincol scan too large: {size} affine classes at "
-                         f"p = {p}, over the limit {MINCOL_SCAN_LIMIT}")
+    if size * nreg > MINCOL_SCAN_LIMIT:
+        raise ValueError(f"mincol scan too large: {size} affine classes of "
+                         f"{nreg} regions at p = {p}, {size * nreg} over the "
+                         f"limit {MINCOL_SCAN_LIMIT}")
     shading = checkerboard(d).shading
-    reps = _affine_representatives(space, p, len(d.regions))
+    reps = _affine_representatives(space, p, nreg)
     best = min(((len(set(v)), v) for v in reps if v != shading), default=None)
     bound = theorem_lower_bound(p)
     if best is None:

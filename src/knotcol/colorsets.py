@@ -77,7 +77,9 @@ def enumerate_classes(p: int, k: int) -> list:
                          f"{k - 2}) subsets of {p - 2} elements, over the "
                          f"limit of {SCAN_LIMIT}")
     seen = set()
-    for rest in combinations(range(2, p), k - 2):
+    # at k = 2 the one subset is (0, 1): no pool, which would be copied whole
+    pool = range(2, p) if k > 2 else ()
+    for rest in combinations(pool, k - 2):
         elems = (0, 1) + rest
         seen.add(canonical_affine_min(elems, p))
     return [CanonicalSet(p, e) for e in sorted(seen)]

@@ -2,14 +2,16 @@
 
 All computations use Python's unbounded integers; nothing here ever touches
 floating point.  A matrix is a list of integer rows (tuples are read
-alike), and a vector mod p is a tuple of residues in [0, p).  No function
-here changes its input.
+alike), and a vector mod p is a tuple of residues in [0, p).  No public
+function here changes its input.
 """
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
+from itertools import compress
 from math import gcd
-from operator import itemgetter
+from operator import mul
 
 # perfbench/tracer.py wraps this module attribute to count determinant calls
 from knotcol._kernels import det_bareiss_small
@@ -80,45 +82,113 @@ def inv_mod_p(a: int, p: int) -> int:
     return pow(a, -1, p)
 
 
-def _eliminate(m, p=None, reduced=False) -> dict:
-    """Sparse row reduction of m over Z_p, or over Z when p is None.
+def _sparse_rows(m, p=None) -> list:
+    """Each row of m as a dict {column: nonzero}, reduced mod p when p is
+    given; `compress` skips the zeros at C speed."""
+    if p is None:
+        return [dict(compress(enumerate(r), r)) for r in m]
+    return [{j: x for j, v in compress(enumerate(r), r) if (x := v % p)}
+            for r in m]
 
-    Columns go left to right.  The pivot of column c is the pending row
-    with the least |entry| there, then the fewest nonzeros, then the lowest
-    index; `_clear` replaces each other row with a nonzero in c by its
-    remainder, and a nonzero remainder sends that row and the pivot back to
-    c.  Returns {pivot column: row as a dict {column: nonzero}}, pivots
-    scaled to 1 over Z_p; `reduced` (over Z_p) back substitutes in
-    decreasing pivot column order to reduced echelon form.
+
+def _rcm_rows(m, p=None):
+    """The sparse rows of m with their columns renamed into reverse
+    Cuthill-McKee order, and that order: column order[k] is renamed k.
+
+    The order is a breadth-first search over "shares a row with", each
+    search started at the sparsest column not yet reached, neighbours taken
+    in increasing order of nonzero count, ties by index; the finished order
+    is reversed (Cuthill and McKee, 1969; George, 1971).  It keeps the
+    nonzeros near a band, so eliminating in it fills in little: on T(2, n)
+    the coloring, Alexander and Fox matrices take O(n) row updates (the Fox
+    matrix of T(2, 201) at 3 takes 333, and 5,397 left to right).  Renaming
+    the columns multiplies m on the right by a permutation matrix, which is
+    unimodular, so the rank and the Smith form stay.
+    """
+    rows = _sparse_rows(m, p)
+    ncols = len(m[0]) if m else 0
+    rows_of = [[] for _ in range(ncols)]
+    for i, r in enumerate(rows):
+        for j in r:
+            rows_of[j].append(i)
+    by_count = sorted(range(ncols), key=list(map(len, rows_of)).__getitem__)
+    place = sorted(range(ncols), key=by_count.__getitem__)
+    seen = [False] * ncols
+    row_seen = [False] * len(rows)
+    order = []
+    head = 0
+    for start in by_count:
+        if seen[start]:
+            continue
+        seen[start] = True
+        order.append(start)
+        while head < len(order):
+            reached = []
+            for i in rows_of[order[head]]:
+                if not row_seen[i]:
+                    row_seen[i] = True
+                    for j in rows[i]:
+                        if not seen[j]:
+                            seen[j] = True
+                            reached.append(j)
+            reached.sort(key=place.__getitem__)
+            order += reached
+            head += 1
+    order.reverse()
+    new = sorted(range(ncols), key=order.__getitem__)
+    return [{new[j]: v for j, v in r.items()} for r in rows], order
+
+
+def _eliminate(m, p=None, reduced=False) -> dict:
+    """`_eliminate_rows` on the rows of m, columns left to right."""
+    return _eliminate_rows(_sparse_rows(m, p), p, reduced)
+
+
+def _eliminate_rows(rows, p=None, reduced=False) -> dict:
+    """Sparse row reduction over Z_p, or over Z when p is None, of a list
+    of rows {column: nonzero}, which it overwrites.
+
+    The columns go in increasing order of name, the next one taken from a
+    heap of the pending rows' leading columns.  The pivot of column c is
+    the pending row with the least |entry| there, then the fewest nonzeros,
+    then the lowest index; `_clear` replaces each other row with a nonzero
+    in c by its remainder, and a nonzero remainder sends that row and the
+    pivot back to c.  Returns {pivot column: row as a dict}, pivots scaled
+    to 1 over Z_p; `reduced` (over Z_p) back substitutes in decreasing
+    pivot column order to reduced echelon form.
 
     Termination: a nonzero remainder is smaller than the pivot, so the
     least |entry| in column c strictly falls; over Z_p every remainder is 0.
     Invariance: each step adds an integer multiple of one row to another,
-    so rank, pivot columns and Smith form stay those of m; on a transpose
-    the pivot columns are the greedy row basis that `extract_certificate`
-    takes, whatever the pivots.
+    so rank, pivot columns and Smith form stay those of the rows; on a
+    transpose the pivot columns are the greedy row basis that
+    `extract_certificate` takes, whatever the pivots.
     """
-    rows = [{j: v for j, v in enumerate(r) if v} for r in m]
-    if p is not None:
-        rows = [{j: x for j, v in r.items() if (x := v % p)} for r in rows]
     lead = {}  # leading column -> indices of the pending rows starting there
     for i, r in enumerate(rows):
         if r:
             lead.setdefault(min(r), []).append(i)
+    heap = sorted(lead)
     pivots = {}
-    while lead:
-        c = min(lead)
+    while heap:
+        c = heappop(heap)
         touched = lead.pop(c)
-        k = min(touched, key=lambda i: (abs(rows[i][c]), len(rows[i]), i))
+        k = touched[0] if len(touched) == 1 else min(
+            touched, key=lambda i: (abs(rows[i][c]), len(rows[i]), i))
         piv = rows[k]
-        if p is not None:
+        if p is not None and piv[c] != 1:
             inv = pow(piv[c], -1, p)
             piv = {j: v * inv % p for j, v in piv.items()}
         for i in touched:
             if i != k:
                 r = rows[i] = _clear(rows[i], piv, c, p)
                 if r:
-                    lead.setdefault(min(r), []).append(i)
+                    j = min(r)
+                    if j in lead:
+                        lead[j].append(i)
+                    else:
+                        lead[j] = [i]
+                        heappush(heap, j)
         if c in lead:
             lead[c].append(k)
         else:
@@ -148,30 +218,49 @@ def _clear(r: dict, piv: dict, c: int, p) -> dict:
 
 
 def rank_mod_p(m, p: int) -> int:
-    """Rank of m over the field Z_p."""
+    """Rank of m over the field Z_p, columns in `_rcm_rows` order."""
     _require_odd_prime(p)
-    return len(_eliminate(m, p))
+    return len(_eliminate_rows(_rcm_rows(m, p)[0], p))
 
 
 def nullspace_mod_p(m, p: int) -> list:
     """Reduced-echelon basis of the solution space of m*x = 0 over Z_p.
 
-    Basis vectors are tuples of residues with a 1 in their free coordinate,
-    returned in increasing order of that coordinate, so the output is
-    deterministic.
+    Basis vectors are tuples of residues with a 1 in their free coordinate
+    (a non-pivot column of m taken left to right), returned in increasing
+    order of that coordinate, so the output is deterministic.
+
+    m is eliminated in `_rcm_rows` order, and one null vector per free
+    column of that order is back solved from the echelon rows.  That basis
+    is then made canonical: the reduced echelon basis above depends only on
+    the null space N, and its free coordinates are the last nonzero
+    positions of the vectors of N, so one reduced elimination of the basis
+    with its columns reversed gives it, pivots last coordinate first.
     """
     _require_odd_prime(p)
-    ncols = len(m[0]) if m else 0
-    pivots = _eliminate(m, p, reduced=True)
-    basis = []
+    rows, order = _rcm_rows(m, p)
+    pivots = _eliminate_rows(rows, p)
+    ncols = len(order)
+    back = sorted(pivots, reverse=True)
+    reverse = [ncols - 1 - j for j in order]  # renamed k -> reversed m column
+    solved = []
     for free in range(ncols):
         if free in pivots:
             continue
+        x = [0] * ncols
+        x[free] = 1
+        for c in back:
+            # row c has 1 at c, where x is still 0, and the rest further on
+            r = pivots[c]
+            x[c] = -sum(map(mul, r.values(), map(x.__getitem__, r))) % p
+        solved.append(dict(zip(compress(reverse, x), filter(None, x))))
+    canon = _eliminate_rows(solved, p, reduced=True)
+    basis = []
+    for c in sorted(canon, reverse=True):
         v = [0] * ncols
-        v[free] = 1
-        for c, r in pivots.items():
-            v[c] = -r.get(free, 0) % p
-        basis.append(tuple(v))
+        for j, x in canon[c].items():
+            v[j] = x
+        basis.append(tuple(reversed(v)))
     return basis
 
 
@@ -185,54 +274,38 @@ def det_int(m) -> int:
     return det_bareiss_small([e for r in m for e in r], n)
 
 
-def _sparse_columns_first(m):
-    """m with its columns in increasing order of nonzero count, ties by
-    index, so that `_eliminate` clears the sparse columns first.
-
-    On T(2, n) the two regions that touch every crossing come first in m;
-    taken first over Z they make n(n-1)/2 row updates, taken last n - 1.
-    """
-    counts = [len(col) - col.count(0) for col in zip(*m)]
-    order = sorted(range(len(counts)), key=counts.__getitem__)
-    if len(order) < 2:
-        return m
-    take = itemgetter(*order)
-    return [take(r) for r in m]
-
-
 def rank_int(m) -> int:
-    """Rank over the rationals, by Euclid row reduction over Z.
-
-    The columns go sparse first: permuting columns multiplies m on the
-    right by a permutation matrix, which is invertible, so the rank stays.
-    """
-    return len(_eliminate(_sparse_columns_first(m)))
+    """Rank over the rationals, by Euclid row reduction over Z, columns in
+    `_rcm_rows` order."""
+    return len(_eliminate_rows(_rcm_rows(m)[0]))
 
 
 def smith_invariant_factors(m) -> list:
     """Invariant factors d1 | d2 | ... of the Smith normal form over Z.
 
-    Reduces the rows with `_eliminate`, then the transpose of the pivot
+    Reduces the rows with `_eliminate_rows`, then the transpose of the pivot
     rows, until every pivot row has one entry (Kannan and Bachem, SIAM J.
     Comput. 1979); each pass keeps the Smith form.  The first pivot's
     |entry| is the gcd of a set holding its last value, so it falls until
     it divides its row; the next pass leaves it alone in its row and
     column, and the rest is a smaller matrix.
 
-    The first pass takes the columns sparse first.  A column permutation is
-    a unimodular matrix on the right, so the Smith form stays; the later
-    passes keep their order, which the argument above needs.
+    The first pass takes the columns in `_rcm_rows` order, which keeps the
+    Smith form; the later passes transpose the pivot rows as they stand and
+    go left to right, which the argument above needs.
 
     A sweep of (a, b) -> (gcd, lcm), a Smith equivalence, over the pairs
     i < j gives d1 | d2 | ...: at each prime it puts the lesser valuation
     first, so position i ends with the least among the positions >= i.
     """
     n = min(len(m), len(m[0])) if m else 0
-    pivots = _eliminate(_sparse_columns_first(m))
+    pivots = _eliminate_rows(_rcm_rows(m)[0])
     while any(len(r) > 1 for r in pivots.values()):
-        rows = list(pivots.values())
-        cols = sorted(set().union(*rows))
-        pivots = _eliminate([[r.get(j, 0) for r in rows] for j in cols])
+        columns = {}
+        for i, r in enumerate(pivots.values()):
+            for j, v in r.items():
+                columns.setdefault(j, {})[i] = v
+        pivots = _eliminate_rows([columns[j] for j in sorted(columns)])
     diag = [abs(v) for r in pivots.values() for v in r.values()]
     for i in range(len(diag)):
         for j in range(i + 1, len(diag)):

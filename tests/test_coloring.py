@@ -197,11 +197,12 @@ def test_affine_representatives_at_dimension_two(catalog):
 
 def test_min_colors_scan_limit(monkeypatch):
     # P(5^7) at 5: dimension 8, so (5^7 - 1) / 4 = 19,531 representatives
+    # of 37 regions, 722,647 in all
     d = build_diagram(parse_pd(pretzel_pd((5,) * 7)))
-    monkeypatch.setattr(coloring, "MINCOL_SCAN_LIMIT", 19531)
+    monkeypatch.setattr(coloring, "MINCOL_SCAN_LIMIT", 19531 * 37)
     assert min_colors_diagram(d, 5).min_colors == 5
-    monkeypatch.setattr(coloring, "MINCOL_SCAN_LIMIT", 19530)
-    with pytest.raises(ValueError, match="19531 affine classes"):
+    monkeypatch.setattr(coloring, "MINCOL_SCAN_LIMIT", 19531 * 37 - 1)
+    with pytest.raises(ValueError, match="19531 affine classes of 37 regions"):
         min_colors_diagram(d, 5)
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -110,6 +111,19 @@ def test_enumerate_classes_scan_limit():
         with pytest.raises(ValueError):
             enumerate_classes(p, k)
     assert enumerate_classes(2**61 - 1, 1)[0].elements == (0,)  # no scan
+
+
+def test_enumerate_classes_at_size_two_builds_no_pool():
+    # the one subset (0, 1) is canonicalized without copying the p - 2
+    # further elements into a tuple, which took 40 MB at p = 1,000,003
+    tracemalloc.start()
+    try:
+        classes = enumerate_classes(1_000_003, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [c.elements for c in classes] == [(0, 1)]
+    assert peak < 2 ** 20, peak
 
 
 def test_enumerate_classes_distinct_and_sorted():

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import det_cofactor, gcd_of_minors, torus_pd
+from conftest import det_cofactor, gcd_of_minors, pretzel_pd, torus_pd
 from knotcol import exactalg
 from knotcol.coloring import (
     alexander_matrix_at_minus_one,
     coloring_matrix,
+    fox_colorings_count,
     knot_determinant,
 )
 from knotcol.diagram import build_diagram, parse_pd
@@ -245,6 +246,69 @@ def test_nullspace_of_catalog_coloring_matrices(catalog):
             assert got == _nullspace_gauss_jordan(m, len(m[0]), p), (name, p)
 
 
+def _nullspace_left_to_right(m, p):
+    """The reduced echelon basis read off one reduced elimination of m with
+    its columns left to right: free columns are the non-pivot ones."""
+    ncols = len(m[0]) if m else 0
+    pivots = exactalg._eliminate(m, p, reduced=True)
+    basis = []
+    for free in range(ncols):
+        if free not in pivots:
+            v = [0] * ncols
+            v[free] = 1
+            for c, r in pivots.items():
+                v[c] = -r.get(free, 0) % p
+            basis.append(tuple(v))
+    return basis
+
+
+def _rank_deficient_matrices(seed=20261019, count=200):
+    """Matrices up to 7 x 9 whose rows are integer combinations of fewer
+    rows, some with zero columns."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        nr, nc = rng.randint(2, 7), rng.randint(1, 9)
+        gens = [[rng.randint(-3, 3) if rng.random() < 0.5 else 0
+                 for _ in range(nc)] for _ in range(rng.randint(1, nr - 1))]
+        rows = [[sum(rng.randint(-2, 2) * g[j] for g in gens)
+                 for j in range(nc)] for _ in range(nr)]
+        for j in rng.sample(range(nc), rng.randint(0, nc // 2)):
+            for r in rows:
+                r[j] = 0
+        yield rows
+
+
+def test_nullspace_matches_left_to_right_reference(catalog):
+    # nullspace_mod_p eliminates in reverse Cuthill-McKee order, then makes
+    # its basis canonical; the answer must be the left-to-right one, byte
+    # for byte
+    for rows in list(_random_matrices()) + list(_rank_deficient_matrices()):
+        for p in (3, 5, 7):
+            assert nullspace_mod_p(rows, p) \
+                == _nullspace_left_to_right(rows, p), (rows, p)
+    for name, d in catalog.items():
+        m = coloring_matrix(d)
+        for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+            assert nullspace_mod_p(m, p) == _nullspace_left_to_right(m, p), \
+                (name, p)
+    m = coloring_matrix(build_diagram(parse_pd(pretzel_pd((15, 15, 15)))))
+    got = nullspace_mod_p(m, 5)
+    assert len(got) == 4
+    assert got == _nullspace_left_to_right(m, 5)
+
+
+def test_rcm_rows_renames_columns():
+    # the order is a permutation, and column order[k] is renamed k with its
+    # entries unchanged (reduced mod p when given)
+    for rows in _random_matrices(seed=11, count=100):
+        for p in (None, 5):
+            sparse, order = exactalg._rcm_rows(rows, p)
+            assert sorted(order) == list(range(len(rows[0])))
+            for r, s in zip(rows, sparse):
+                renamed = [r[j] if p is None else r[j] % p for j in order]
+                assert s == {k: v for k, v in enumerate(renamed) if v}
+
+
 def test_input_contract():
     # lists of lists and tuples of tuples give the same answers, no routine
     # changes its input, and nullspace vectors are tuples of residues
@@ -272,21 +336,25 @@ def _permute_columns(rows, rng):
 
 
 def test_rank_and_smith_ignore_column_order():
-    # rank_int and smith_invariant_factors take the columns sparse first; a
-    # column permutation is unimodular, so neither answer may move
+    # rank_int, rank_mod_p and smith_invariant_factors take the columns in
+    # reverse Cuthill-McKee order; a column permutation is unimodular, so no
+    # answer may move
     rng = random.Random(31)
     inputs = list(_random_matrices()) + _smith_inputs()
     for rows in inputs:
         rank, factors = rank_int(rows), smith_invariant_factors(rows)
+        ranks = [rank_mod_p(rows, p) for p in (3, 5, 7)]
         for _ in range(3):
             shuffled = _permute_columns(rows, rng)
             assert rank_int(shuffled) == rank, rows
             assert smith_invariant_factors(shuffled) == factors, rows
+            assert [rank_mod_p(shuffled, p) for p in (3, 5, 7)] == ranks, rows
 
 
 def test_row_updates_linear_on_torus_knot(monkeypatch):
     # no timing: count the row updates of the elimination core on T(2, n),
-    # which left-to-right column order makes quadratic (n(n-1)/2)
+    # which left-to-right column order makes quadratic (n(n-1)/2 for rank
+    # over Z, 5,397 for the Fox count at n = 201)
     n = 201
     calls = []
     clear = exactalg._clear
@@ -299,7 +367,10 @@ def test_row_updates_linear_on_torus_knot(monkeypatch):
     d = build_diagram(parse_pd(torus_pd(n)))
     for f, bound in ((lambda: rank_int(coloring_matrix(d)), 2 * n),
                      (lambda: rank_int(alexander_matrix_at_minus_one(d)), 2 * n),
-                     (lambda: knot_determinant(d), 5 * n)):
+                     (lambda: knot_determinant(d), 5 * n),
+                     (lambda: fox_colorings_count(d, 3), 2 * n),
+                     (lambda: rank_mod_p(coloring_matrix(d), 3), 2 * n),
+                     (lambda: nullspace_mod_p(coloring_matrix(d), 3), 2 * n)):
         calls.clear()
         f()
         assert 0 < len(calls) <= bound, (len(calls), bound)
