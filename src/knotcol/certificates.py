@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 
 from knotcol import exactalg
 from knotcol.coloring import (
@@ -96,32 +96,25 @@ def rank_checks(d: Diagram, c: DehnColoring) -> list:
     if classify(d, c).kind != NONTRIVIAL:
         raise TrivialColoringError("rank checks require a nontrivial coloring")
     n = d.n
-    m = coloring_matrix(d)
-    report = []
-
-    rz = exactalg.rank_int(m)
-    report.append(RankCheck("rank_Z M = n", rz == n, f"rank_Z M = {rz}, n = {n}"))
-    rp = exactalg.rank_mod_p(m, p)
-    report.append(RankCheck("rank_p M <= n-1", rp <= n - 1,
-                            f"rank_{p} M = {rp}, n-1 = {n - 1}"))
-
+    # A_D(-1) is M with the unit row e1 appended, and B is M with the
+    # augmented matrix's extra row appended: one elimination of M per ring
+    # ranks all three
     a = alexander_matrix_at_minus_one(d)
-    rza = exactalg.rank_int(a)
-    report.append(RankCheck("rank_Z A = n+1", rza == n + 1,
-                            f"rank_Z A = {rza}, n+1 = {n + 1}"))
-    rpa = exactalg.rank_mod_p(a, p)
-    report.append(RankCheck("rank_p A <= n", rpa <= n,
-                            f"rank_{p} A = {rpa}, n = {n}"))
-
+    m = a[:-1]
     aug = augmented_matrix(d, c)
+    rz, rza, rzb = exactalg.ranks_appending(m, [a[-1], aug.extra_row])
+    rp, rpa, rpb = exactalg.ranks_appending(m, [a[-1], aug.extra_row], p)
+    report = [
+        RankCheck("rank_Z M = n", rz == n, f"rank_Z M = {rz}, n = {n}"),
+        RankCheck("rank_p M <= n-1", rp <= n - 1, f"rank_{p} M = {rp}, n-1 = {n - 1}"),
+        RankCheck("rank_Z A = n+1", rza == n + 1, f"rank_Z A = {rza}, n+1 = {n + 1}"),
+        RankCheck("rank_p A <= n", rpa <= n, f"rank_{p} A = {rpa}, n = {n}"),
+    ]
     if aug.variant == VARIANT_B:
-        b = aug.full()
-        rzb = exactalg.rank_int(b)
-        report.append(RankCheck("rank_Z B = n+1", rzb == n + 1,
-                                f"rank_Z B = {rzb}, n+1 = {n + 1}"))
-        rpb = exactalg.rank_mod_p(b, p)
-        report.append(RankCheck("rank_p B <= n", rpb <= n,
-                                f"rank_{p} B = {rpb}, n = {n}"))
+        report += [
+            RankCheck("rank_Z B = n+1", rzb == n + 1, f"rank_Z B = {rzb}, n+1 = {n + 1}"),
+            RankCheck("rank_p B <= n", rpb <= n, f"rank_{p} B = {rpb}, n = {n}"),
+        ]
     return report
 
 
@@ -133,11 +126,12 @@ def merge_columns(m: AugmentedMatrix) -> list:
     """
     values = m.coloring.values
     column = {color: j for j, color in enumerate(sorted(set(values)))}
+    target = [column[v] for v in values]
     merged = []
     for row in m.full():
         out = [0] * len(column)
-        for e, v in zip(row, values):
-            out[column[v]] += e
+        for j, e in compress(enumerate(row), row):
+            out[target[j]] += e
         merged.append(out)
     return merged
 

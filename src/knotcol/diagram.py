@@ -7,9 +7,10 @@ we recover regions (faces of the 4-valent plane graph), over-arcs, the
 quadrant incidence at each crossing, and the checkerboard shading.
 
 A dart is one of the two slot occurrences of a semiarc, written
-(crossing index, position).  Faces are the orbits of "cross the semiarc,
-then rotate one position counterclockwise", which for a planar code yields
-exactly n + 2 faces.
+(crossing index, position), and numbered 4 * crossing + position inside
+this module, where the per-dart data are flat lists.  Faces are the orbits
+of "cross the semiarc, then rotate one position counterclockwise", which
+for a planar code yields exactly n + 2 faces.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from itertools import groupby, product
 
 
 class PDError(ValueError):
@@ -45,33 +47,86 @@ def parse_pd(text: str) -> PDCode:
             raise PDError(f"cannot parse PD JSON: {e}") from e
         if not isinstance(data, list) or not all(isinstance(q, list) for q in data):
             raise PDError("PD JSON must be an array of 4-element arrays")
-        quads = data
+        for q in data:
+            if len(q) != 4:
+                raise PDError(f"crossing {q} does not have 4 semiarc labels")
+            if not all(type(x) is int for x in q):  # bool is an int subclass
+                raise PDError(f"non-integer semiarc label in {q}")
+        quads = tuple(map(tuple, data))
     else:
         found = re.findall(r"X\s*\[([^\]]*)\]", text)
         if not found or re.sub(r"X\s*\[[^\]]*\]|[\s,;]", "", text):
             raise PDError("cannot parse PD text")
-        quads = [[int(x) for x in grp.split(",")] for grp in found]
-    for q in quads:
-        if len(q) != 4:
-            raise PDError(f"crossing {q} does not have 4 semiarc labels")
-        if not all(type(x) is int for x in q):  # bool is an int subclass
-            raise PDError(f"non-integer semiarc label in {q}")
-    return validate_pd(PDCode(tuple(tuple(q) for q in quads)))
+        quads = []
+        for grp in found:
+            try:
+                q = list(map(int, grp.split(",")))
+            except ValueError:
+                raise PDError(f"non-integer semiarc label in X[{grp}]") from None
+            if len(q) != 4:
+                raise PDError(f"crossing {q} does not have 4 semiarc labels")
+            quads.append(tuple(q))
+        quads = tuple(quads)
+    return validate_pd(PDCode(quads))
 
 
-def validate_pd(pd: PDCode) -> PDCode:
-    counts = {}
-    for q in pd.crossings:
-        for a in q:
+def _darts(pd: PDCode):
+    """The label of each dart, the other dart of its semiarc, and each
+    label's first dart, the lists indexed by dart id.  Raises PDError unless
+    the 4n darts carry 2n labels, each exactly twice."""
+    labels = [a for q in pd.crossings for a in q]
+    m = len(labels)
+    first = {}
+    other = [-1] * m
+    for d, a in enumerate(labels):
+        f = first.setdefault(a, d)
+        if f != d:
+            other[f] = d
+            other[d] = f
+    # with 2n labels on 4n darts and none seen once, none is seen 3 times
+    if 2 * len(first) != m or m != 4 * pd.n or -1 in other:
+        counts = {}
+        for a in labels:
             counts[a] = counts.get(a, 0) + 1
-    bad = [a for a, c in counts.items() if c != 2]
-    if bad:
-        raise PDError(f"invalid PD code: labels {sorted(bad)} do not appear exactly twice")
-    if len(counts) != 2 * pd.n:
+        bad = [a for a, c in counts.items() if c != 2]
+        if bad:
+            raise PDError(f"invalid PD code: labels {sorted(bad)} do not appear exactly twice")
         raise PDError(
             f"invalid PD code: {len(counts)} semiarc labels for {pd.n} crossings"
         )
-    _require_single_component(pd)
+    return labels, other, first
+
+
+def _cycles(succ):
+    """The cycles of the permutation succ of range(len(succ)), each from
+    its least element, in increasing order of that element, and the index
+    of the cycle of each element."""
+    cycle_of = [-1] * len(succ)
+    cycles = []
+    for start in range(len(succ)):
+        if cycle_of[start] < 0:
+            k = len(cycles)
+            cycle_of[start] = k
+            cycle = [start]
+            d = succ[start]
+            while d != start:
+                cycle_of[d] = k
+                cycle.append(d)
+                d = succ[d]
+            cycles.append(cycle)
+    return cycles, cycle_of
+
+
+def validate_pd(pd: PDCode) -> PDCode:
+    other = _darts(pd)[1]
+    # the strand entering at dart d leaves at d ^ 2 (0-2 under, 1-3 over)
+    # and enters the next crossing at other[d ^ 2]; each component is two
+    # cycles of that map, one per direction
+    count = len(_cycles([other[d ^ 2] for d in range(len(other))])[0]) // 2
+    if count != 1:
+        raise PDError(
+            f"PD code describes a link with {count} components; only knots are supported"
+        )
     return pd
 
 
@@ -93,16 +148,6 @@ def components(items, pairs) -> dict:
     for a, b in pairs:
         parent[find(a)] = find(b)
     return {a: find(a) for a in parent}
-
-
-def _require_single_component(pd: PDCode) -> None:
-    # strand continuation joins positions 0-2 (under) and 1-3 (over)
-    pairs = (pair for a, b, c, d in pd.crossings for pair in ((a, c), (b, d)))
-    roots = set(components(pd.semiarcs(), pairs).values())
-    if len(roots) != 1:
-        raise PDError(
-            f"PD code describes a link with {len(roots)} components; only knots are supported"
-        )
 
 
 @dataclass(frozen=True)
@@ -135,76 +180,42 @@ class Diagram:
 
 def build_diagram(pd: PDCode) -> Diagram:
     n = pd.n
-    # pair up the two darts of each semiarc
-    occurrences = {}
-    for ci, quad in enumerate(pd.crossings):
-        for pos, label in enumerate(quad):
-            occurrences.setdefault(label, []).append((ci, pos))
-    other = {}
-    for label, darts in occurrences.items():
-        (d1, d2) = darts
-        other[d1] = d2
-        other[d2] = d1
-
-    # face traversal: next dart = rotate(other(dart))
-    seen = set()
-    faces = []
-    for start in sorted(other):
-        if start in seen:
-            continue
-        face = []
-        d = start
-        while d not in seen:
-            seen.add(d)
-            face.append(d)
-            c2, p2 = other[d]
-            d = (c2, (p2 + 1) % 4)
-        if d != start:
-            raise PDError("non-planar or corrupt PD code: face traversal did not close")
-        faces.append(tuple(face))
+    labels, other, first = _darts(pd)
+    # faces: cycles of "the other dart, rotated one position": (c, p) -> (c, p + 1)
+    faces, face_of = _cycles([o - (o & 3) + ((o + 1) & 3) for o in other])
     if len(faces) != n + 2:
         raise PDError(
             f"non-planar or corrupt PD code: {len(faces)} faces, expected {n + 2}"
         )
 
-    # deterministic region order: sort by minimal (semiarc label, side) slot
-    def side(dart):
-        c, p = dart
-        label = pd.crossings[c][p]
-        return 0 if dart == min(occurrences[label]) else 1
+    # regions in increasing order of their least (label, side) over their
+    # darts, side 0 at the label's first dart: a stable sort of the darts
+    # by label puts them in (label, side) order, and each face is placed
+    # where its first dart comes
+    by_label = sorted(range(len(labels)), key=labels.__getitem__)
+    order = list(dict.fromkeys(map(face_of.__getitem__, by_label)))
+    rank = dict(zip(order, range(len(order))))
+    region = list(map(rank.__getitem__, face_of))
+    darts = list(product(range(n), range(4)))
+    regions = tuple(tuple(map(darts.__getitem__, faces[f])) for f in order)
 
-    def face_key(face):
-        return min((pd.crossings[c][p], side((c, p))) for c, p in face)
-
-    faces.sort(key=face_key)
-    region_of_dart = {}
-    for ri, face in enumerate(faces):
-        for d in face:
-            region_of_dart[d] = ri
-
-    # over-arcs: semiarcs at positions 1 and 3 of a crossing belong to one arc
-    labels = pd.semiarcs()
-    root = components(labels, ((quad[1], quad[3]) for quad in pd.crossings))
-    groups = {}
-    for a in labels:
-        groups.setdefault(root[a], []).append(a)
-    arcs = tuple(frozenset(g) for _, g in sorted(groups.items()))
-    arc_of_semiarc = {a: i for i, g in enumerate(arcs) for a in g}
+    # over-arcs: semiarcs at positions 1 and 3 of a crossing belong to one
+    # arc; arcs go in increasing order of their union-find root
+    root = components(first, ((q[1], q[3]) for q in pd.crossings))
+    index = {r: i for i, r in enumerate(sorted(set(root.values())))}
+    arc_of_semiarc = dict(zip(root, map(index.__getitem__, root.values())))
+    arcs = tuple(frozenset(g) for _, g in groupby(
+        sorted(root, key=arc_of_semiarc.__getitem__), arc_of_semiarc.__getitem__))
 
     # the face orbit reaching dart (c, p+1) turns through the corner
     # between positions p and p+1, so that corner lies in its face
-    quadrants = []
-    for ci in range(n):
-        quadrants.append(tuple(
-            region_of_dart[(ci, (p + 1) % 4)] for p in range(4)
-        ))
-
-    regions_of_semiarc = {
-        label: tuple(region_of_dart[d] for d in darts)
-        for label, darts in occurrences.items()
-    }
-    return Diagram(pd, tuple(faces), region_of_dart, arcs, arc_of_semiarc,
-                   tuple(quadrants), regions_of_semiarc)
+    quadrants = tuple(zip(region[1::4], region[2::4], region[3::4], region[0::4]))
+    firsts = first.values()
+    regions_of_semiarc = dict(zip(first, zip(
+        map(region.__getitem__, firsts),
+        map(region.__getitem__, map(other.__getitem__, firsts)))))
+    return Diagram(pd, regions, dict(zip(darts, region)), arcs, arc_of_semiarc,
+                   quadrants, regions_of_semiarc)
 
 
 @dataclass(frozen=True)
@@ -218,8 +229,7 @@ def checkerboard(d: Diagram) -> Checkerboard:
     shade[0] = 0
     queue = [0]
     adjacency = [[] for _ in d.regions]
-    for label in d.pd.semiarcs():
-        r1, r2 = d.semiarc_regions(label)
+    for r1, r2 in d.regions_of_semiarc.values():
         adjacency[r1].append(r2)
         adjacency[r2].append(r1)
     while queue:

@@ -201,6 +201,33 @@ def _eliminate_rows(rows, p=None, reduced=False) -> dict:
     return pivots
 
 
+def _outside_span(r: dict, pivots: dict, p=None) -> bool:
+    """Whether the row r {column: nonzero} lies outside the span over Z_p,
+    or over Q when p is None, of the pivot rows that `_eliminate_rows`
+    returns.
+
+    Each step clears r's leading column c with the pivot row of c, whose
+    other columns all come after c, so the leading column rises until r is
+    zero (inside) or leads at a column with no pivot (outside).  Over Z, r
+    is first multiplied by piv[c] / gcd(r[c], piv[c]) when piv[c] does not
+    divide r[c], so that c clears exactly; a nonzero multiple of r has the
+    same rational span, and the row's content is divided out again.
+    """
+    while r:
+        c = min(r)
+        piv = pivots.get(c)
+        if piv is None:
+            return True
+        if p is None and r[c] % piv[c]:
+            s = piv[c] // gcd(r[c], piv[c])
+            r = _clear({j: v * s for j, v in r.items()}, piv, c, p)
+            g = gcd(*r.values())
+            r = {j: v // g for j, v in r.items()}
+        else:
+            r = _clear(r, piv, c, p)
+    return False
+
+
 def _clear(r: dict, piv: dict, c: int, p) -> dict:
     """r - (r[c] // piv[c]) * piv, reduced mod p over Z_p: what is left in
     column c is smaller than piv[c] in absolute value, 0 over Z_p."""
@@ -221,6 +248,26 @@ def rank_mod_p(m, p: int) -> int:
     """Rank of m over the field Z_p, columns in `_rcm_rows` order."""
     _require_odd_prime(p)
     return len(_eliminate_rows(_rcm_rows(m, p)[0], p))
+
+
+def ranks_appending(m, extra, p=None) -> list:
+    """[rank of m] followed by the rank of m with each row of extra
+    appended, over Z_p, or over Q when p is None, from one elimination of m.
+
+    m is eliminated as in `rank_mod_p` and `rank_int`; each extra row is
+    renamed into the same column order and tested with `_outside_span`.
+    The pivot rows span m's row space over Z_p, and over Z their row
+    lattice is m's, so appending a row adds 1 to the rank exactly when it
+    lies outside their span.
+    """
+    if p is not None:
+        _require_odd_prime(p)
+    rows, order = _rcm_rows(m, p)
+    pivots = _eliminate_rows(rows, p)
+    new = dict(zip(order, range(len(order))))  # m column -> renamed column
+    rank = len(pivots)
+    return [rank] + [rank + _outside_span({new[j]: v for j, v in r.items()}, pivots, p)
+                     for r in _sparse_rows(extra, p)]
 
 
 def nullspace_mod_p(m, p: int) -> list:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import combinations
 
 from knotcol.coloring import DehnColoring, fox_from_dehn
 from knotcol.diagram import Diagram, components
@@ -48,19 +49,22 @@ def palette_graph(colors, p: int) -> PaletteGraph:
     s = {a % p for a in colors}
     if not s:
         raise ValueError("color set must be nonempty")
-    vertices = {(a1 + a2) % p for a1 in s for a2 in s}
+    # b1 = a1+a2 and b2 = a3+a4 are joined when a1+a3 = a2+a4 (mod p), the
+    # other displayed condition being this one with a3 and a4 swapped; that
+    # is a1 - a2 = a4 - a3, so the sums of the ordered pairs of one
+    # difference form a clique.  (x, y) and (y, x) have one sum, so the
+    # difference is taken up to sign
+    cliques = {}
+    for x in s:
+        for y in s:
+            d = (x - y) % p
+            cliques.setdefault(min(d, p - d), set()).add((x + y) % p)
+    vertices = set().union(*cliques.values())
     half = inv_mod_p(2, p)
     edges = {}
-    # b1 = a1+a2 and b2 = a3+a4 are joined when a1+a3 = a2+a4 (mod p); the
-    # other displayed condition is this one with a3 and a4 swapped
-    for a1 in s:
-        for a2 in s:
-            for a3 in s:
-                a4 = (a1 + a3 - a2) % p
-                b1, b2 = (a1 + a2) % p, (a3 + a4) % p
-                if a4 in s and b1 != b2:
-                    u, v = min(b1, b2), max(b1, b2)
-                    edges[(u, v)] = (half * (u + v)) % p
+    for sums in cliques.values():
+        for u, v in combinations(sorted(sums), 2):
+            edges[(u, v)] = (half * (u + v)) % p
     return PaletteGraph(p, frozenset(vertices), edges)
 
 

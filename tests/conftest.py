@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 
 from knotcol.coloring import DehnColoring, is_valid_coloring
-from knotcol.diagram import CATALOG, catalog_diagram
+from knotcol.diagram import CATALOG, Diagram, PDError, catalog_diagram, components
 
 
 def det_cofactor(rows):
@@ -150,6 +150,110 @@ def pretzel_pd(twists):
     return " ".join(
         "X[" + ",".join(str(labels[quad[(start[ci] + r) % 4]]) for r in range(4)) + "]"
         for ci, quad in enumerate(quads))
+
+
+def reference_validate_pd(pd):
+    """PD validation as a dict count and a union-find over the strands."""
+    counts = {}
+    for q in pd.crossings:
+        for a in q:
+            counts[a] = counts.get(a, 0) + 1
+    bad = [a for a, c in counts.items() if c != 2]
+    if bad:
+        raise PDError(f"invalid PD code: labels {sorted(bad)} do not appear exactly twice")
+    if len(counts) != 2 * pd.n:
+        raise PDError(
+            f"invalid PD code: {len(counts)} semiarc labels for {pd.n} crossings"
+        )
+    _reference_require_single_component(pd)
+    return pd
+
+
+def _reference_require_single_component(pd):
+    # strand continuation joins positions 0-2 (under) and 1-3 (over)
+    pairs = (pair for a, b, c, d in pd.crossings for pair in ((a, c), (b, d)))
+    roots = set(components(pd.semiarcs(), pairs).values())
+    if len(roots) != 1:
+        raise PDError(
+            f"PD code describes a link with {len(roots)} components; only knots are supported"
+        )
+
+
+def reference_build_diagram(pd):
+    """The diagram of a PD code built from dicts keyed by (crossing,
+    position) darts, one face walk and a sort by a key recomputed per dart:
+    the reference that `build_diagram` must equal."""
+    n = pd.n
+    # pair up the two darts of each semiarc
+    occurrences = {}
+    for ci, quad in enumerate(pd.crossings):
+        for pos, label in enumerate(quad):
+            occurrences.setdefault(label, []).append((ci, pos))
+    other = {}
+    for label, darts in occurrences.items():
+        (d1, d2) = darts
+        other[d1] = d2
+        other[d2] = d1
+
+    # face traversal: next dart = rotate(other(dart))
+    seen = set()
+    faces = []
+    for start in sorted(other):
+        if start in seen:
+            continue
+        face = []
+        d = start
+        while d not in seen:
+            seen.add(d)
+            face.append(d)
+            c2, p2 = other[d]
+            d = (c2, (p2 + 1) % 4)
+        if d != start:
+            raise PDError("non-planar or corrupt PD code: face traversal did not close")
+        faces.append(tuple(face))
+    if len(faces) != n + 2:
+        raise PDError(
+            f"non-planar or corrupt PD code: {len(faces)} faces, expected {n + 2}"
+        )
+
+    # deterministic region order: sort by minimal (semiarc label, side) slot
+    def side(dart):
+        c, p = dart
+        label = pd.crossings[c][p]
+        return 0 if dart == min(occurrences[label]) else 1
+
+    def face_key(face):
+        return min((pd.crossings[c][p], side((c, p))) for c, p in face)
+
+    faces.sort(key=face_key)
+    region_of_dart = {}
+    for ri, face in enumerate(faces):
+        for d in face:
+            region_of_dart[d] = ri
+
+    # over-arcs: semiarcs at positions 1 and 3 of a crossing belong to one arc
+    labels = pd.semiarcs()
+    root = components(labels, ((quad[1], quad[3]) for quad in pd.crossings))
+    groups = {}
+    for a in labels:
+        groups.setdefault(root[a], []).append(a)
+    arcs = tuple(frozenset(g) for _, g in sorted(groups.items()))
+    arc_of_semiarc = {a: i for i, g in enumerate(arcs) for a in g}
+
+    # the face orbit reaching dart (c, p+1) turns through the corner
+    # between positions p and p+1, so that corner lies in its face
+    quadrants = []
+    for ci in range(n):
+        quadrants.append(tuple(
+            region_of_dart[(ci, (p + 1) % 4)] for p in range(4)
+        ))
+
+    regions_of_semiarc = {
+        label: tuple(region_of_dart[d] for d in darts)
+        for label, darts in occurrences.items()
+    }
+    return Diagram(pd, tuple(faces), region_of_dart, arcs, arc_of_semiarc,
+                   tuple(quadrants), regions_of_semiarc)
 
 
 @pytest.fixture(scope="session")

@@ -1,16 +1,20 @@
 import random
+import re
 
 import pytest
+from conftest import pretzel_pd, reference_build_diagram, reference_validate_pd, torus_pd
 
 from knotcol.diagram import (
     CATALOG,
     CATALOG_DETERMINANTS,
+    PDCode,
     PDError,
     build_diagram,
     catalog_diagram,
     checkerboard,
     components,
     parse_pd,
+    validate_pd,
 )
 
 TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
@@ -39,9 +43,15 @@ def test_parse_pd_rejects_bad_labels():
     # with 1 in place of true the first JSON code is the trefoil
     for text in ("X[1,2,3,4] X[1,2,3,5]",
                  "[[true,4,2,5],[3,6,4,1],[5,2,6,3]]",
-                 "[[false,4,2,5],[3,6,4,false],[5,2,6,3]]"):
+                 "[[false,4,2,5],[3,6,4,false],[5,2,6,3]]",
+                 "X[a,1,2,3]", "X[1,,2,3]", "X[1,2,3,4,]"):
         with pytest.raises(PDError):
             parse_pd(text)
+
+
+def test_parse_pd_names_a_non_integer_text_label():
+    with pytest.raises(PDError, match=r"non-integer semiarc label in X\[1,,2,3\]"):
+        parse_pd("X[1,2,3,4] X[1,,2,3]")
 
 
 def test_parse_pd_rejects_links():
@@ -132,3 +142,64 @@ def test_catalog_determinants():
 def test_unknown_catalog_name():
     with pytest.raises(KeyError):
         catalog_diagram("8_19")
+
+
+def _seeded_pretzels(seed, count):
+    """Odd numbers of odd twists, so each is a knot."""
+    rng = random.Random(seed)
+    return [tuple(rng.randrange(1, 16, 2) for _ in range(rng.choice((3, 5, 7))))
+            for _ in range(count)]
+
+
+def _relabeled(pd, rng):
+    """The same knot with its crossings shuffled and its labels sent to
+    distinct integers of either sign, so labels no longer follow the
+    crossing order."""
+    labels = pd.semiarcs()
+    new = dict(zip(labels, rng.sample(range(-10 * len(labels), 10 * len(labels)), len(labels))))
+    quads = [tuple(new[a] for a in q) for q in pd.crossings]
+    rng.shuffle(quads)
+    return PDCode(tuple(quads))
+
+
+def test_build_diagram_matches_reference():
+    pds = [parse_pd(text) for text in CATALOG.values()]
+    pds += [parse_pd(KINK), PDCode(((1, 1, 2, 2),))]
+    pds += [parse_pd(torus_pd(n)) for n in range(3, 202, 2)]
+    pds += [parse_pd(pretzel_pd(t)) for t in _seeded_pretzels(11, 40)]
+    rng = random.Random(12)
+    pds += [_relabeled(pd, rng) for pd in pds[:] for _ in range(2)]
+    for pd in pds:
+        assert build_diagram(pd) == reference_build_diagram(pd), pd
+        assert validate_pd(pd) == reference_validate_pd(pd)
+
+
+def _unvalidated(text):
+    return PDCode(tuple(tuple(map(int, g.split(",")))
+                        for g in re.findall(r"\[([^\]]*)\]", text)))
+
+
+def test_pd_errors_match_reference():
+    texts = ["X[1,3,2,4] X[3,1,4,2]",  # Hopf link
+             "X[1,2,3,4] X[1,3,2,4]",  # one component, two faces: not planar
+             "X[1,2,3,4] X[1,2,3,5]",  # 4 and 5 appear once
+             "X[1,2,1,2]",
+             "X[1,1,1,1]",
+             f"{CATALOG['3_1']} X[7,8,7,8]"]
+    texts += [torus_pd(n) for n in (2, 4, 6)]  # 2, 4 and 6 components
+    for text in texts:
+        pd = _unvalidated(text)
+        with pytest.raises(PDError) as ours:
+            build_diagram(parse_pd(text))
+        with pytest.raises(PDError) as theirs:
+            reference_build_diagram(reference_validate_pd(pd))
+        assert str(ours.value) == str(theirs.value), text
+    for pd in (PDCode(()), PDCode(((1, 2, 3),))):
+        with pytest.raises(PDError) as ours:
+            validate_pd(pd)
+        with pytest.raises(PDError) as theirs:
+            reference_validate_pd(pd)
+        assert str(ours.value) == str(theirs.value)
+    # validation refuses a link, but its diagram builds
+    hopf = _unvalidated(texts[0])
+    assert build_diagram(hopf) == reference_build_diagram(hopf)

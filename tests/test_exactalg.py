@@ -297,6 +297,34 @@ def test_nullspace_matches_left_to_right_reference(catalog):
     assert got == _nullspace_left_to_right(m, 5)
 
 
+def test_ranks_appending_match_ranks_of_stacked_rows(catalog):
+    # the extra rows are reduced against the pivot rows of m alone; the
+    # ranks must be those of m with each row stacked under it
+    def check(m, extra):
+        assert exactalg.ranks_appending(m, extra) \
+            == [rank_int(m)] + [rank_int(m + [r]) for r in extra], (m, extra)
+        for p in (3, 5, 7):
+            assert exactalg.ranks_appending(m, extra, p) \
+                == [rank_mod_p(m, p)] + [rank_mod_p(m + [r], p) for r in extra], (m, extra, p)
+
+    rng = random.Random(41)
+    for rows in list(_random_matrices()) + list(_rank_deficient_matrices()):
+        k = rng.randint(1, len(rows))
+        check(rows[:k], rows[k:] + [[rng.randint(-3, 3) for _ in rows[0]]])
+    # over Z the pivot 2 does not divide the 1 of (2, 1) or (3, 1): each is
+    # doubled before it clears, and (2, 1) is half the row of m
+    check([[4, 2]], [[2, 1], [3, 1], [0, 0]])
+    for d in catalog.values():
+        m = coloring_matrix(d)
+        nreg = len(m[0])
+        extra = []
+        for i, j in combinations(range(nreg), 2):
+            row = [0] * nreg
+            row[i], row[j] = 1, -1
+            extra.append(row)
+        check(m, [[1] + [0] * (nreg - 1)] + extra)
+
+
 def test_rcm_rows_renames_columns():
     # the order is a permutation, and column order[k] is renamed k with its
     # entries unchanged (reduced mod p when given)

@@ -1,4 +1,5 @@
-from itertools import combinations
+import random
+from itertools import combinations, product
 
 import pytest
 
@@ -37,6 +38,34 @@ def test_example_sets_mod_7():
     assert connected_r_witness(palette_graph({0, 1, 2, 3}, 7)) == NO_WITNESS
     w = connected_r_witness(palette_graph({0, 1, 2, 4}, 7))
     assert w != NO_WITNESS and len(w) >= 3
+
+
+def _palette_graph_by_definition(s, p):
+    """Vertices a1+a2 and an edge b1 -- b2, labelled (b1+b2)/2, whenever
+    b1 = a1+a2 and b2 = a3+a4 differ and a1+a3 = a2+a4 or a1+a4 = a2+a3,
+    over all a1, a2, a3, a4 in s."""
+    half = pow(2, -1, p)
+    vertices = {(a1 + a2) % p for a1 in s for a2 in s}
+    edges = {}
+    for a1, a2, a3, a4 in product(s, repeat=4):
+        b1, b2 = (a1 + a2) % p, (a3 + a4) % p
+        if b1 != b2 and ((a1 + a3 - a2 - a4) % p == 0 or (a1 + a4 - a2 - a3) % p == 0):
+            u, v = min(b1, b2), max(b1, b2)
+            edges[(u, v)] = half * (u + v) % p
+    return vertices, edges
+
+
+def test_palette_graph_matches_definition():
+    rng = random.Random(23)
+    cases = [(range(p), p) for p in (3, 5, 7, 11)]  # k = p
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        for _ in range(6):
+            k = rng.randint(1, min(p, 9))
+            cases.append((rng.sample(range(p), k), p))
+    for s, p in cases:
+        g = palette_graph(s, p)
+        vertices, edges = _palette_graph_by_definition(set(s), p)
+        assert (g.vertices, g.edges) == (vertices, edges), (sorted(s), p)
 
 
 def test_labels_are_vertices():
