@@ -17,7 +17,6 @@ from knotcol import exactalg
 from knotcol.coloring import (
     NONTRIVIAL,
     DehnColoring,
-    alexander_matrix_at_minus_one,
     checkerboard_coloring,
     classify,
     coloring_matrix,
@@ -51,7 +50,6 @@ class AugmentedMatrix:
 @dataclass(frozen=True)
 class Certificate:
     ell: int                 # number of colors
-    merged: list             # (n+1) x ell column-merged matrix
     row_indices: tuple
     col_indices: tuple
     det_value: int
@@ -60,6 +58,8 @@ class Certificate:
 
 
 def augmented_matrix(d: Diagram, c: DehnColoring) -> AugmentedMatrix:
+    """M with the extra row of variant A or B for c, the one matrix that
+    `rank_checks` and `extract_certificate` read; c must be nontrivial."""
     if classify(d, c).kind != NONTRIVIAL:
         raise TrivialColoringError("certificate requires nontrivial coloring")
     p = c.p
@@ -72,12 +72,11 @@ def augmented_matrix(d: Diagram, c: DehnColoring) -> AugmentedMatrix:
         if c.values[i] == c.values[j] and shading[i] != shading[j]:
             pair = (i, j)
             break
+    extra = [0] * nreg
     if pair is None:
         shifted = DehnColoring(p, tuple((v - c.values[0]) % p for v in c.values))
-        extra = [0] * nreg
         extra[0] = 1
         return AugmentedMatrix(VARIANT_A, base, tuple(extra), (0,), shifted)
-    extra = [0] * nreg
     extra[pair[0]] = 1
     extra[pair[1]] = -1
     return AugmentedMatrix(VARIANT_B, base, tuple(extra), pair, c)
@@ -90,20 +89,17 @@ class RankCheck:
     detail: str
 
 
-def rank_checks(d: Diagram, c: DehnColoring) -> list:
+def rank_checks(aug: AugmentedMatrix) -> list:
     """Verify the rank statements for M, A_D(-1), and B on this instance."""
-    p = c.p
-    if classify(d, c).kind != NONTRIVIAL:
-        raise TrivialColoringError("rank checks require a nontrivial coloring")
-    n = d.n
+    p = aug.coloring.p
+    m = aug.base
+    n = len(m)
     # A_D(-1) is M with the unit row e1 appended, and B is M with the
     # augmented matrix's extra row appended: one elimination of M per ring
     # ranks all three
-    a = alexander_matrix_at_minus_one(d)
-    m = a[:-1]
-    aug = augmented_matrix(d, c)
-    rz, rza, rzb = exactalg.ranks_appending(m, [a[-1], aug.extra_row])
-    rp, rpa, rpb = exactalg.ranks_appending(m, [a[-1], aug.extra_row], p)
+    e1 = (1,) + (0,) * (len(aug.extra_row) - 1)
+    rz, rza, rzb = exactalg.ranks_appending(m, [e1, aug.extra_row])
+    rp, rpa, rpb = exactalg.ranks_appending(m, [e1, aug.extra_row], p)
     report = [
         RankCheck("rank_Z M = n", rz == n, f"rank_Z M = {rz}, n = {n}"),
         RankCheck("rank_p M <= n-1", rp <= n - 1, f"rank_{p} M = {rp}, n-1 = {n - 1}"),
@@ -136,9 +132,9 @@ def merge_columns(m: AugmentedMatrix) -> list:
     return merged
 
 
-def extract_certificate(d: Diagram, c: DehnColoring) -> Certificate:
-    p = c.p
-    rows = merge_columns(augmented_matrix(d, c))
+def extract_certificate(aug: AugmentedMatrix) -> Certificate:
+    p = aug.coloring.p
+    rows = merge_columns(aug)
     ell = len(rows[0])
     k = ell - 1
     for cols in combinations(range(ell), k):
@@ -162,7 +158,7 @@ def extract_certificate(d: Diagram, c: DehnColoring) -> Certificate:
         star = tuple(check_star(sub))
         if not all(star):
             violations.append("a selected row violates the multiset condition")
-        return Certificate(ell, rows, rsel, cols, det, star, tuple(violations))
+        return Certificate(ell, rsel, cols, det, star, tuple(violations))
     raise CertificateError(
         "certificate extraction failed: no nonsingular submatrix found"
     )

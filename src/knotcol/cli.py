@@ -162,8 +162,9 @@ def cmd_certify(args, out):
     if c is None:
         print(f"no nontrivial coloring mod {args.p}", file=out)
         return EXIT_FAILURE
-    checks = certificates.rank_checks(d, c)
-    cert = certificates.extract_certificate(d, c)
+    aug = certificates.augmented_matrix(d, c)
+    checks = certificates.rank_checks(aug)
+    cert = certificates.extract_certificate(aug)
     ok = all(r.ok for r in checks) and not cert.violations
     if args.format == "json":
         doc = {

@@ -27,6 +27,10 @@ class DehnColoring:
     p: int
     values: tuple  # region index -> residue
 
+    def __post_init__(self):
+        if self.values and (min(self.values) < 0 or max(self.values) >= self.p):
+            raise ValueError(f"coloring values must be residues mod {self.p}")
+
     def colors_used(self) -> frozenset:
         return frozenset(self.values)
 
@@ -126,8 +130,7 @@ def classify(d: Diagram, c: DehnColoring) -> ColoringClass:
     all_trivial = True
     for i in range(d.n):
         x1, x2, x3, x4 = d.crossing_relation_regions(i)
-        if not (c.values[x1] % c.p == c.values[x4] % c.p
-                and c.values[x2] % c.p == c.values[x3] % c.p):
+        if not (c.values[x1] == c.values[x4] and c.values[x2] == c.values[x3]):
             all_trivial = False
             break
     if all_trivial:

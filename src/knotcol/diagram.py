@@ -154,7 +154,6 @@ def components(items, pairs) -> dict:
 class Diagram:
     pd: PDCode
     regions: tuple       # each region: tuple of darts (crossing, position)
-    region_of_dart: dict  # dart -> region index
     arcs: tuple          # each arc: frozenset of semiarc labels
     arc_of_semiarc: dict  # semiarc label -> arc index
     quadrants: tuple     # per crossing: (q01, q12, q23, q30) region indices
@@ -214,8 +213,8 @@ def build_diagram(pd: PDCode) -> Diagram:
     regions_of_semiarc = dict(zip(first, zip(
         map(region.__getitem__, firsts),
         map(region.__getitem__, map(other.__getitem__, firsts)))))
-    return Diagram(pd, regions, dict(zip(darts, region)), arcs, arc_of_semiarc,
-                   quadrants, regions_of_semiarc)
+    return Diagram(pd, regions, arcs, arc_of_semiarc, quadrants,
+                   regions_of_semiarc)
 
 
 @dataclass(frozen=True)

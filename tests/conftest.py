@@ -252,8 +252,8 @@ def reference_build_diagram(pd):
         label: tuple(region_of_dart[d] for d in darts)
         for label, darts in occurrences.items()
     }
-    return Diagram(pd, tuple(faces), region_of_dart, arcs, arc_of_semiarc,
-                   tuple(quadrants), regions_of_semiarc)
+    return Diagram(pd, tuple(faces), arcs, arc_of_semiarc, tuple(quadrants),
+                   regions_of_semiarc)
 
 
 @pytest.fixture(scope="session")

@@ -17,6 +17,7 @@ from conftest import (
 )
 from knotcol import exactalg
 from knotcol.certificates import (
+    augmented_matrix,
     check_star,
     extract_certificate,
     random_star_matrix,
@@ -159,7 +160,7 @@ def test_criterion_07_rank_suite():
             for p in dividing_primes(det):
                 assert exactalg.rank_mod_p(m, p) <= n - 1, (name, p)
                 for c in nontrivial_colorings(d, p)[:1]:
-                    for item in rank_checks(d, c):
+                    for item in rank_checks(augmented_matrix(d, c)):
                         assert item.ok, (name, p, item.claim, item.detail)
 
 
@@ -169,7 +170,7 @@ def test_criterion_08_certificates():
             d = catalog_diagram(name)
             for p in dividing_primes(knot_determinant(d)):
                 for c in nontrivial_colorings(d, p):
-                    cert = extract_certificate(d, c)
+                    cert = extract_certificate(augmented_matrix(d, c))
                     assert cert.det_value != 0
                     assert cert.det_value % p == 0
                     assert p <= abs(cert.det_value) <= 2 ** (cert.ell - 1)
@@ -177,11 +178,11 @@ def test_criterion_08_certificates():
                     assert not cert.violations
         tre = catalog_diagram("3_1")
         c3 = nontrivial_colorings(tre, 3)[0]
-        assert abs(extract_certificate(tre, c3).det_value) == 3
+        assert abs(extract_certificate(augmented_matrix(tre, c3)).det_value) == 3
         fig = catalog_diagram("4_1")
         c5 = next(c for c in nontrivial_colorings(fig, 5)
                   if len(c.colors_used()) == 4)
-        assert abs(extract_certificate(fig, c5).det_value) == 5
+        assert abs(extract_certificate(augmented_matrix(fig, c5)).det_value) == 5
 
 
 def test_criterion_09_diagram_palette_property():

@@ -122,7 +122,7 @@ def test_rank_checks_catalog(catalog):
     for d in catalog.values():
         for p in dividing_primes(knot_determinant(d)):
             c = nontrivial_colorings(d, p)[0]
-            report = rank_checks(d, c)
+            report = rank_checks(augmented_matrix(d, c))
             assert report, "empty report"
             for item in report:
                 assert item.ok, f"{item.claim}: {item.detail}"
@@ -132,7 +132,7 @@ def test_certificate_catalog(catalog):
     for d in catalog.values():
         for p in dividing_primes(knot_determinant(d)):
             for c in nontrivial_colorings(d, p)[:5]:
-                cert = extract_certificate(d, c)
+                cert = extract_certificate(augmented_matrix(d, c))
                 ell = cert.ell
                 assert cert.det_value != 0
                 assert cert.det_value % p == 0
@@ -161,8 +161,9 @@ def test_certificate_matches_exhaustive_scan(catalog):
     for d in catalog.values():
         for p in dividing_primes(knot_determinant(d)):
             for c in nontrivial_colorings(d, p):
-                cert = extract_certificate(d, c)
-                expected = scan_certificate(merge_columns(augmented_matrix(d, c)))
+                aug = augmented_matrix(d, c)
+                cert = extract_certificate(aug)
+                expected = scan_certificate(merge_columns(aug))
                 assert (cert.row_indices, cert.col_indices, cert.det_value) == expected
                 seen += 1
     assert seen == 4180
@@ -170,15 +171,15 @@ def test_certificate_matches_exhaustive_scan(catalog):
 
 def test_certificate_forced_values(trefoil, fig8):
     c3 = nontrivial_colorings(trefoil, 3)[0]
-    assert abs(extract_certificate(trefoil, c3).det_value) == 3
+    assert abs(extract_certificate(augmented_matrix(trefoil, c3)).det_value) == 3
     c5 = next(c for c in nontrivial_colorings(fig8, 5)
               if len(c.colors_used()) == 4)
-    assert abs(extract_certificate(fig8, c5).det_value) == 5
+    assert abs(extract_certificate(augmented_matrix(fig8, c5)).det_value) == 5
 
 
 def test_certificate_requires_nontrivial(trefoil):
     with pytest.raises(TrivialColoringError):
-        extract_certificate(trefoil, DehnColoring(3, (1,) * 5))
+        extract_certificate(augmented_matrix(trefoil, DehnColoring(3, (1,) * 5)))
 
 
 def test_merged_rank_claims(catalog):

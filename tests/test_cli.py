@@ -1,5 +1,7 @@
 import io
 import json
+import sys
+from collections import Counter
 
 import pytest
 
@@ -108,6 +110,33 @@ def test_certify():
     assert doc["certificate"]["violations"] == []
     assert doc["certificate"]["det"] % 3 == 0
     assert all(r["ok"] for r in doc["rank_checks"])
+
+
+def test_certify_builds_one_augmented_matrix(monkeypatch):
+    # every module that holds one of these functions gets a counting
+    # wrapper, so both the cli's calls and the certificates' imports count
+    names = ("augmented_matrix", "coloring_matrix", "checkerboard_coloring",
+             "alexander_matrix_at_minus_one")
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    modules = [m for key, m in sys.modules.items() if key.startswith("knotcol.")]
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            if attr in names:
+                monkeypatch.setattr(module, attr, counting(attr, value))
+    code, text = invoke(["certify", "--pd", torus_pd(201), "--p", "3",
+                         "--format", "json"])
+    assert code == EXIT_OK
+    assert all(r["ok"] for r in json.loads(text)["rank_checks"])
+    assert {name: calls[name] for name in names} == {
+        "augmented_matrix": 1, "coloring_matrix": 2,
+        "checkerboard_coloring": 1, "alexander_matrix_at_minus_one": 0}
 
 
 @pytest.mark.parametrize("n,p", [(35, 7), (51, 17), (101, 101)])

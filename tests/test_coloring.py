@@ -112,6 +112,18 @@ def test_classify_rejects_noncoloring(trefoil):
         classify(trefoil, DehnColoring(3, (0, 1, 0, 0, 0)))
 
 
+def test_dehn_coloring_requires_residues(trefoil):
+    c = DehnColoring(3, (2, 2, 0, 0, 1))
+    assert classify(trefoil, c).kind == NONTRIVIAL
+    assert classify(trefoil, c).colors_used == frozenset({0, 1, 2})
+    # 3 added to every other region still satisfies each relation mod 3,
+    # but would count 5 colors
+    with pytest.raises(ValueError, match="residues mod 3"):
+        DehnColoring(3, (2, 5, 0, 3, 1))
+    with pytest.raises(ValueError, match="residues mod 3"):
+        DehnColoring(3, (2, 2, 0, 0, -2))
+
+
 def test_affine_transform(trefoil):
     nontriv = next(c for c in colorings(trefoil, 3).enumerated
                    if classify(trefoil, c).kind == NONTRIVIAL)

@@ -107,11 +107,13 @@ def test_components_match_reachability():
 def test_semiarcs_border_two_regions():
     for text in (TREFOIL, FIG8_JSON, KINK):
         d = build_diagram(parse_pd(text))
+        region_of_dart = {dart: ri for ri, region in enumerate(d.regions)
+                          for dart in region}
         for s in d.pd.semiarcs():
             assert len(d.semiarc_regions(s)) == 2
-            darts = sorted(dart for dart in d.region_of_dart
+            darts = sorted(dart for dart in region_of_dart
                            if d.pd.crossings[dart[0]][dart[1]] == s)
-            assert d.semiarc_regions(s) == tuple(d.region_of_dart[x] for x in darts)
+            assert d.semiarc_regions(s) == tuple(region_of_dart[x] for x in darts)
 
 
 def test_checkerboard_proper():
