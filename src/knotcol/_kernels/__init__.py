@@ -12,18 +12,23 @@ def canonical_affine_min(elems, p):
     For two or more elements the minimum starts (0, 1), since any map
     sending one element to 0 and another to 1 gives such an image.  A
     minimising map therefore sends some e to 0 and some f to 1, which fixes
-    it as x -> (x - e) / d with d = f - e, and the image of that pair map is
-    {r : e + r*d in elems}.  All k(k-1) pair maps are walked in step: each
-    pair carries its point x = e + r*d, which advances by one addition mod p
-    per step r = 2, 3, ...  If some pair's point lies in elems, r is
-    recorded and every pair whose point does not is dropped.  Every pair
+    it as the pair map x -> (x - e) / d with d = f - e, held as (d, e); its
+    image is {r : e + r*d in elems}.  The k(k-1) pair maps are walked in
+    step r = 2, 3, ...: if the point e + r*d of some pair lies in elems, r
+    is recorded and every pair whose point does not is dropped.  Every pair
     alive at step r has met exactly the recorded values below r, so its next
     image element is at least r; a dropped pair's is larger than r, and as
     all images have k elements it loses the comparison to every survivor.
     Once k values are recorded they are the minimum, (0, 1, recorded r...).
 
-    The walk stops after k steps, or earlier when one pair is left, so it
-    makes O(k^3) additions and lookups whatever p is.  If fewer than k
+    The first step is fused into building the pairs: the point at r = 2 is
+    2f - e, so 2 is recorded exactly when elems holds a three-term
+    progression e, f, 2f - e, and only those pairs are built.  All k(k-1)
+    pairs are built only when there is none; nothing is dropped then, and
+    the walk goes on from r = 3.
+
+    The walk stops after step k + 1, or earlier when one pair is left, so it
+    makes O(k^3) multiplications and lookups whatever p is.  If fewer than k
     values are recorded by then, the finish step computes the full image of
     each survivor, with one inverse of d each, and takes the least.
     """
@@ -31,21 +36,26 @@ def canonical_affine_min(elems, p):
     if k <= 2:
         return (0, 1)[:k]
     members = set(elems)
-    pairs = [((f - e) % p, f) for e in elems for f in elems if f != e]
-    image = [0, 1]
-    for r in range(2, k + 2):
-        pairs = [(d, (x + d) % p) for d, x in pairs]
-        hits = [dx for dx in pairs if dx[1] in members]
+    pairs = [((f - e) % p, e) for e in elems for f in elems
+             if e != f and (2 * f - e) % p in members]
+    if pairs:
+        if k == 3:
+            return (0, 1, 2)
+        image = [0, 1, 2]
+    else:
+        pairs = [((f - e) % p, e) for e in elems for f in elems if e != f]
+        image = [0, 1]
+    for r in range(3, k + 2):
+        if len(pairs) == 1:
+            break
+        hits = [(d, e) for d, e in pairs if (e + r * d) % p in members]
         if hits:
             image.append(r)
             if len(image) == k:
                 return tuple(image)
             pairs = hits
-            if len(hits) == 1:
-                break
     best = None
-    for d, x in pairs:
-        e = (x - r * d) % p
+    for d, e in pairs:
         s = pow(d, -1, p)
         img = sorted((y - e) * s % p for y in elems)
         if best is None or img < best:

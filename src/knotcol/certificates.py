@@ -9,7 +9,6 @@ nonzero multiple of p bounded by 2^(colors-1).  Together these force
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from itertools import combinations, compress
 
@@ -185,20 +184,3 @@ def check_star(m) -> list:
         result.append(nonzero == () or nonzero in STAR_MULTISETS)
     return result
 
-
-def random_star_matrix(k: int, seed: int) -> list:
-    """Random order-k matrix whose rows all satisfy the multiset condition."""
-    if k < 1:
-        raise ValueError("order must be >= 1")
-    rng = random.Random(seed)
-    choices = sorted(ms for ms in STAR_MULTISETS if len(ms) <= k)
-    rows = []
-    for _ in range(k):
-        ms = list(rng.choice(choices))
-        rng.shuffle(ms)
-        positions = rng.sample(range(k), len(ms))
-        row = [0] * k
-        for pos, e in zip(positions, ms):
-            row[pos] = e
-        rows.append(row)
-    return rows

@@ -37,12 +37,6 @@ class PaletteGraph:
                 raise ValueError(f"edge ({u},{v}) label {label} != {expected}")
 
 
-@dataclass(frozen=True)
-class RSubgraph:
-    vertices: frozenset
-    edges: frozenset  # of (u, v) pairs, u < v
-
-
 def palette_graph(colors, p: int) -> PaletteGraph:
     """The full palette graph of a set of residues."""
     _require_odd_prime(p)
@@ -66,20 +60,6 @@ def palette_graph(colors, p: int) -> PaletteGraph:
         for u, v in combinations(sorted(sums), 2):
             edges[(u, v)] = (half * (u + v)) % p
     return PaletteGraph(p, frozenset(vertices), edges)
-
-
-def is_r_subgraph(h: RSubgraph, g: PaletteGraph) -> bool:
-    """h is a subgraph of g whose every edge label is a vertex of h."""
-    if not h.vertices <= g.vertices:
-        return False
-    for e in h.edges:
-        if e not in g.edges:
-            return False
-        if e[0] not in h.vertices or e[1] not in h.vertices:
-            return False
-        if g.edges[e] not in h.vertices:
-            return False
-    return True
 
 
 NO_WITNESS = "none"
@@ -133,10 +113,6 @@ def palette_graph_of_diagram(d: Diagram, c: DehnColoring) -> PaletteGraph:
         u, v = min(b1, b2), max(b1, b2)
         edges[(u, v)] = (half * (u + v)) % c.p
     return PaletteGraph(c.p, vertices, edges)
-
-
-def to_rsubgraph(g: PaletteGraph) -> RSubgraph:
-    return RSubgraph(g.vertices, frozenset(g.edges))
 
 
 def to_json(g: PaletteGraph) -> str:

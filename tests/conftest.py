@@ -1,11 +1,14 @@
 """Shared brute-force oracles, kept independent of the library paths they
 check."""
 
+import random
+from dataclasses import dataclass
 from itertools import combinations, product
 from math import gcd
 
 import pytest
 
+from knotcol.certificates import STAR_MULTISETS
 from knotcol.coloring import DehnColoring, is_valid_coloring
 from knotcol.diagram import CATALOG, Diagram, PDError, catalog_diagram, components
 
@@ -45,6 +48,24 @@ def gcd_of_minors(rows, k):
     return g
 
 
+def random_star_matrix(k: int, seed: int) -> list:
+    """Random order-k matrix whose rows all satisfy the multiset condition."""
+    if k < 1:
+        raise ValueError("order must be >= 1")
+    rng = random.Random(seed)
+    choices = sorted(ms for ms in STAR_MULTISETS if len(ms) <= k)
+    rows = []
+    for _ in range(k):
+        ms = list(rng.choice(choices))
+        rng.shuffle(ms)
+        positions = rng.sample(range(k), len(ms))
+        row = [0] * k
+        for pos, e in zip(positions, ms):
+            row[pos] = e
+        rows.append(row)
+    return rows
+
+
 def brute_dehn_colorings(d, p):
     """All Dehn colorings by exhausting p^(#regions) region assignments."""
     found = []
@@ -79,6 +100,31 @@ def brute_r_witness_exists(g):
             if _connected_spanning(vs, edges):
                 return True
     return False
+
+
+@dataclass(frozen=True)
+class RSubgraph:
+    vertices: frozenset
+    edges: frozenset  # of (u, v) pairs, u < v
+
+
+def is_r_subgraph(h: RSubgraph, g) -> bool:
+    """h is a subgraph of the palette graph g whose every edge label is a
+    vertex of h."""
+    if not h.vertices <= g.vertices:
+        return False
+    for e in h.edges:
+        if e not in g.edges:
+            return False
+        if e[0] not in h.vertices or e[1] not in h.vertices:
+            return False
+        if g.edges[e] not in h.vertices:
+            return False
+    return True
+
+
+def to_rsubgraph(g) -> RSubgraph:
+    return RSubgraph(g.vertices, frozenset(g.edges))
 
 
 def _connected_spanning(vs, edges):

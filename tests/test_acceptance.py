@@ -14,13 +14,15 @@ from conftest import (
     brute_r_witness_exists,
     dividing_primes,
     gcd_of_minors,
+    is_r_subgraph,
+    random_star_matrix,
+    to_rsubgraph,
 )
 from knotcol import exactalg
 from knotcol.certificates import (
     augmented_matrix,
     check_star,
     extract_certificate,
-    random_star_matrix,
     rank_checks,
 )
 from knotcol.coloring import (
@@ -47,10 +49,8 @@ from knotcol.diagram import catalog_diagram
 from knotcol.palette import (
     NO_WITNESS,
     connected_r_witness,
-    is_r_subgraph,
     palette_graph,
     palette_graph_of_diagram,
-    to_rsubgraph,
 )
 
 CATALOG_ORDER = ("3_1", "4_1", "5_1", "5_2", "6_1", "6_2", "6_3", "7_1", "7_4")

@@ -2,7 +2,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import dividing_primes
+from conftest import dividing_primes, random_star_matrix
 from knotcol import exactalg
 from knotcol.certificates import (
     STAR_MULTISETS,
@@ -13,7 +13,6 @@ from knotcol.certificates import (
     check_star,
     extract_certificate,
     merge_columns,
-    random_star_matrix,
     rank_checks,
 )
 from knotcol.coloring import (

@@ -126,6 +126,31 @@ def test_enumerate_classes_at_size_two_builds_no_pool():
     assert peak < 2 ** 20, peak
 
 
+def test_enumerate_classes_canonicalizes_each_scanned_subset_once(monkeypatch):
+    # the scan looks the kernel up through the module attribute, so a
+    # wrapper sees every call: one per k-subset containing {0, 1}
+    kernel = colorsets.canonical_affine_min
+    calls = 0
+
+    def counted(elems, p):
+        nonlocal calls
+        calls += 1
+        return kernel(elems, p)
+
+    monkeypatch.setattr(colorsets, "canonical_affine_min", counted)
+    for p in (3, 5, 7, 11, 13):
+        total = 0
+        for k in range(1, p + 1):
+            calls = 0
+            enumerate_classes(p, k)
+            assert calls == (math.comb(p - 2, k - 2) if k >= 2 else 0), (p, k)
+            total += calls
+        assert total == 2 ** (p - 2)
+    calls = 0
+    assert [c.elements for c in enumerate_classes(1_000_003, 2)] == [(0, 1)]
+    assert calls == 1
+
+
 def test_enumerate_classes_distinct_and_sorted():
     classes = enumerate_classes(13, 4)
     elems = [c.elements for c in classes]

@@ -60,13 +60,36 @@ def test_canonical_matches_all_maps_random_subsets():
 
 
 def test_canonical_matches_pair_maps_scanned_subsets():
-    # every subset the class scan meets, up to one past the critical size
-    for p in (3, 5, 7, 11, 13, 17, 19, 23):
-        for k in range(2, min(p, theorem_lower_bound(p) + 1) + 1):
+    # every subset the class scan meets, up to one past the critical size;
+    # at p = 29 and 31, the benchmark's largest tables, up to it
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        for k in range(2, min(p, theorem_lower_bound(p) + (p < 29)) + 1):
             for rest in combinations(range(2, p), k - 2):
                 elems = (0, 1) + rest
                 assert _kernels.canonical_affine_min(elems, p) \
                     == _min_over_pair_maps(elems, p), (elems, p)
+
+
+def _has_three_term_progression(elems, p):
+    members = set(elems)
+    return any(e != f and (2 * f - e) % p in members
+               for e in elems for f in elems)
+
+
+def test_canonical_without_three_term_progression():
+    # no pair map's image holds 2, so the walk records nothing at r = 2 and
+    # keeps every pair; the decision falls to a later step
+    cases = [((0, 1, 3), 7, (0, 1, 3)), ((0, 1, 3), 2**61 - 1, (0, 1, 3)),
+             ((0, 1, 4), 13, (0, 1, 4)), ((0, 1, 3, 9), 31, (0, 1, 3, 9)),
+             ((5, 6, 8), 31, (0, 1, 3)), ((2, 9, 23), 2**31 - 1, None),
+             ((0, 1, 5, 7), 31, None), ((0, 1, 4, 6, 13), 31, None)]
+    for elems, p, expected in cases:
+        assert not _has_three_term_progression(elems, p), (elems, p)
+        got = _kernels.canonical_affine_min(elems, p)
+        assert got == _min_over_pair_maps(elems, p), (elems, p)
+        assert 2 not in got
+        if expected is not None:
+            assert got == expected, (elems, p)
 
 
 def test_canonical_matches_pair_maps_large_primes():

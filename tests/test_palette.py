@@ -3,7 +3,13 @@ from itertools import combinations, product
 
 import pytest
 
-from conftest import brute_r_witness_exists, dividing_primes
+from conftest import (
+    RSubgraph,
+    brute_r_witness_exists,
+    dividing_primes,
+    is_r_subgraph,
+    to_rsubgraph,
+)
 from knotcol.coloring import (
     NONTRIVIAL,
     DehnColoring,
@@ -16,14 +22,11 @@ from knotcol.diagram import catalog_diagram
 from knotcol.palette import (
     NO_WITNESS,
     PaletteGraph,
-    RSubgraph,
     connected_r_witness,
-    is_r_subgraph,
     palette_graph,
     palette_graph_of_diagram,
     to_dot,
     to_json,
-    to_rsubgraph,
 )
 
 
