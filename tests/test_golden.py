@@ -3,8 +3,11 @@ byte for byte.
 
 The cases are `det`, and `color-count`, `mincol`, `fox` and `certify` in
 table and JSON format at p in {3, 5, 7, 11, 13}, on every catalog knot,
-T(2,35), P(5,3,7), P(5,5,5) and P(5,5,5,5,5), plus `theorem62` in both
-formats.  When an output is meant to change, regenerate the file with
+T(2,35), P(5,3,7), P(5,5,5) and P(5,5,5,5,5); `theorem62` in both formats;
+`palette` in table, JSON and dot format on every published critical-size set
+with p <= 13, and on {0,1} and {0,1,2,3} at 7; and `candidates` in table and
+JSON format at p in {7, 11, 13} for every size k from 3 to the critical
+size.  When an output is meant to change, regenerate the file with
 
     PYTHONPATH=src python3 tests/test_golden.py
 
@@ -19,6 +22,8 @@ import pytest
 
 from conftest import pretzel_pd, torus_pd
 from knotcol.cli import run
+from knotcol.coloring import theorem_lower_bound
+from knotcol.colorsets import EXPECTED_CANDIDATES
 from knotcol.diagram import CATALOG
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
@@ -41,6 +46,19 @@ for _name, _source in SOURCES.items():
                     _cmd, *_source, "--p", str(_p), "--format", _fmt]
 for _fmt in ("table", "json"):
     CASES[f"theorem62 {_fmt}"] = ["theorem62", "--format", _fmt]
+PALETTE_SETS = [(_p, _s) for _p in (3, 5, 7, 11, 13)
+                for _s in EXPECTED_CANDIDATES[_p]]
+PALETTE_SETS += [(7, (0, 1)), (7, (0, 1, 2, 3))]
+for _p, _s in PALETTE_SETS:
+    _set = ",".join(map(str, _s))
+    for _fmt in ("table", "json", "dot"):
+        CASES[f"palette {_set} p={_p} {_fmt}"] = [
+            "palette", "--p", str(_p), "--set", _set, "--format", _fmt]
+for _p in (7, 11, 13):
+    for _k in range(3, theorem_lower_bound(_p) + 1):
+        for _fmt in ("table", "json"):
+            CASES[f"candidates p={_p} k={_k} {_fmt}"] = [
+                "candidates", "--p", str(_p), "--size", str(_k), "--format", _fmt]
 
 
 def invoke(argv):
