@@ -9,6 +9,7 @@ Output ordering is deterministic everywhere.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -23,7 +24,7 @@ from knotcol.coloring import (
     knot_determinant,
     min_colors_diagram,
 )
-from knotcol.diagram import CATALOG, PDError, build_diagram, catalog_diagram, parse_pd
+from knotcol.diagram import CATALOG, build_diagram, catalog_diagram, parse_pd
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -284,12 +285,13 @@ def run(argv, out=None) -> int:
     out = out or sys.stdout
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(out):  # --help goes to `out`
+            args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
         return args.func(args, out)
-    except (PDError, ValueError, KeyError) as e:
+    except (ValueError, KeyError) as e:  # PDError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

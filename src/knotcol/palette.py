@@ -2,16 +2,18 @@
 
 Vertices are sum-classes b = a1+a2 of pairs drawn from a color set (or the
 classes of the arcs of a colored diagram); an edge joins two classes when
-representing pairs can sit around a crossing, and carries the label
-2^{-1}(b1+b2), the forced class of the over-arc.  The key decision is
-whether the graph contains a connected subgraph, on at least three
-vertices, all of whose edge labels are again vertices of the subgraph.
+representing pairs can sit around a crossing.  A `PaletteGraph` computes
+each edge's label 2^{-1}(u+v), the forced class of the over-arc, itself,
+and refuses loops and edges or labels outside its vertex set.  The key
+decision is whether the graph contains a connected subgraph, on at least
+three vertices, all of whose edge labels are again vertices of the
+subgraph.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from itertools import combinations
 
 from knotcol.coloring import DehnColoring, fox_from_dehn
@@ -23,18 +25,21 @@ from knotcol.exactalg import _require_odd_prime, inv_mod_p
 class PaletteGraph:
     p: int
     vertices: frozenset
-    edges: dict  # (u, v) with u < v -> label
+    pairs: InitVar  # iterable of edges (u, v) with u < v
+    edges: dict = field(init=False)  # (u, v) -> label 2^{-1}(u+v)
 
-    def __post_init__(self):
-        half = inv_mod_p(2, self.p)
-        for (u, v), label in self.edges.items():
-            if u == v:
-                raise ValueError("loops are not allowed")
-            if u not in self.vertices or v not in self.vertices:
-                raise ValueError("edge endpoint is not a vertex")
-            expected = (half * (u + v)) % self.p
-            if label != expected:
-                raise ValueError(f"edge ({u},{v}) label {label} != {expected}")
+    def __post_init__(self, pairs):
+        vertices, half = self.vertices, inv_mod_p(2, self.p)
+        edges = {}
+        for u, v in pairs:
+            if u >= v:
+                raise ValueError(f"edge ({u},{v}) is a loop or not ordered u < v")
+            if u not in vertices or v not in vertices:
+                raise ValueError(f"edge ({u},{v}) endpoint is not a vertex")
+            label = edges[(u, v)] = (half * (u + v)) % self.p
+            if label not in vertices:
+                raise ValueError(f"edge ({u},{v}) label {label} is not a vertex")
+        object.__setattr__(self, "edges", edges)
 
 
 def palette_graph(colors, p: int) -> PaletteGraph:
@@ -53,13 +58,9 @@ def palette_graph(colors, p: int) -> PaletteGraph:
         for y in s:
             d = (x - y) % p
             cliques.setdefault(min(d, p - d), set()).add((x + y) % p)
-    vertices = set().union(*cliques.values())
-    half = inv_mod_p(2, p)
-    edges = {}
-    for sums in cliques.values():
-        for u, v in combinations(sorted(sums), 2):
-            edges[(u, v)] = (half * (u + v)) % p
-    return PaletteGraph(p, frozenset(vertices), edges)
+    vertices = frozenset().union(*cliques.values())
+    return PaletteGraph(p, vertices, (
+        e for sums in cliques.values() for e in combinations(sorted(sums), 2)))
 
 
 NO_WITNESS = "none"
@@ -75,9 +76,6 @@ def connected_r_witness(g: PaletteGraph):
     fixpoint each component is itself label-closed, so a component with
     at least three vertices is exactly a witness.
     """
-    for e, label in g.edges.items():
-        if label not in g.vertices:
-            raise ValueError("not a full palette graph: edge label is not a vertex")
     edges = dict(g.edges)
     while True:
         comp = components(g.vertices, edges)
@@ -102,17 +100,13 @@ def palette_graph_of_diagram(d: Diagram, c: DehnColoring) -> PaletteGraph:
     under-arcs carry distinct classes.
     """
     fox = fox_from_dehn(d, c)
-    vertices = frozenset(fox.values)
-    half = inv_mod_p(2, c.p)
-    edges = {}
-    for a, b, cc, dd in d.pd.crossings:
+    pairs = []
+    for a, _, cc, _ in d.pd.crossings:
         b1 = fox.values[d.arc_of_semiarc[a]]
         b2 = fox.values[d.arc_of_semiarc[cc]]
-        if b1 == b2:
-            continue
-        u, v = min(b1, b2), max(b1, b2)
-        edges[(u, v)] = (half * (u + v)) % c.p
-    return PaletteGraph(c.p, vertices, edges)
+        if b1 != b2:
+            pairs.append((min(b1, b2), max(b1, b2)))
+    return PaletteGraph(c.p, frozenset(fox.values), pairs)
 
 
 def to_json(g: PaletteGraph) -> str:

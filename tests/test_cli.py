@@ -239,3 +239,17 @@ def test_usage_errors():
     assert invoke(["det", "--pd", "[[true,4,2,5],[3,6,4,1],[5,2,6,3]]"])[0] \
         == EXIT_USAGE  # boolean semiarc label
     assert invoke(["nope"])[0] == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["mincol", "--help"]])
+def test_help_goes_to_out(capsys, argv):
+    code, text = invoke(argv)
+    assert code == EXIT_OK
+    assert text.startswith("usage: knotcol")
+    assert capsys.readouterr() == ("", "")
+
+
+def test_usage_error_goes_to_stderr(capsys):
+    code, text = invoke(["mincol", "--p", "3"])
+    assert (code, text) == (EXIT_USAGE, "")
+    assert "usage: knotcol mincol" in capsys.readouterr().err

@@ -156,9 +156,22 @@ def test_palette_graph_validation():
     with pytest.raises(ValueError):
         palette_graph(set(), 5)
     with pytest.raises(ValueError):
-        PaletteGraph(5, frozenset({0, 1}), {(0, 1): 4})  # wrong label
+        PaletteGraph(5, frozenset({0, 1}), [(0, 1)])  # label 3 is not a vertex
     with pytest.raises(ValueError):
-        PaletteGraph(5, frozenset({0}), {(0, 0): 0})  # loop
+        PaletteGraph(5, frozenset({0}), [(0, 0)])  # loop
+
+
+def test_palette_graph_refuses_bad_edges_at_construction():
+    # 2^{-1}(0 + 1) = 3 mod 5: the edge is refused when the graph is built,
+    # not later by connected_r_witness
+    with pytest.raises(ValueError, match="label 3 is not a vertex"):
+        PaletteGraph(5, frozenset({0, 1}), [(0, 1)])
+    with pytest.raises(ValueError, match="not ordered"):
+        PaletteGraph(5, frozenset({0, 1, 3}), [(1, 0)])
+    with pytest.raises(ValueError, match="endpoint is not a vertex"):
+        PaletteGraph(5, frozenset({0, 3}), [(0, 1)])
+    g = PaletteGraph(5, frozenset({0, 1, 3}), [(0, 1)])
+    assert g.edges == {(0, 1): 3}
 
 
 def test_json_and_dot_emission():
