@@ -3,7 +3,11 @@
 Subcommands cover coloring counts, per-diagram minimum colors, palette
 graphs, candidate color-set tables, the published-table report, rank and
 determinant certificates, the Fox correspondence, and knot determinants.
-Output ordering is deterministic everywhere.
+
+Each `cmd_*` returns (exit code, JSON document, table lines) and writes
+nothing; `run` alone writes, one rendering per call to stdout.  `det`, and
+`certify` when there is no nontrivial coloring, print plain text in every
+format.  Errors go to stderr with exit 2.  Output ordering is deterministic.
 """
 
 from __future__ import annotations
@@ -47,100 +51,65 @@ def _jsonify(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(", ", ": "))
 
 
-def cmd_color_count(args, out):
-    d = _get_diagram(args)
-    sp = colorings(d, args.p, budget=0)  # only the dimension and count are read
-    if args.format == "json":
-        print(_jsonify({"p": args.p, "dimension": sp.dimension, "count": sp.count}),
-              file=out)
+def cmd_color_count(args):
+    sp = colorings(_get_diagram(args), args.p, budget=0)  # dimension and count only
+    doc = {"p": args.p, "dimension": sp.dimension, "count": sp.count}
+    return EXIT_OK, doc, [f"{key} = {doc[key]}" for key in ("p", "dimension", "count")]
+
+
+def cmd_mincol(args):
+    res = min_colors_diagram(_get_diagram(args), args.p)
+    doc = {"p": args.p, "lower_bound": res.lower_bound, "min_colors": None}
+    lines = [f"p = {args.p}", f"lower bound = {res.lower_bound}"]
+    if res.min_colors == NO_NONTRIVIAL:
+        lines.append("no nontrivial coloring")
     else:
-        print(f"p = {args.p}", file=out)
-        print(f"dimension = {sp.dimension}", file=out)
-        print(f"count = {sp.count}", file=out)
-    return EXIT_OK
+        doc.update(min_colors=res.min_colors, witness=list(res.witness.values))
+        lines += [f"minimum colors (this diagram) = {res.min_colors}",
+                  f"witness = {doc['witness']}"]
+    return EXIT_OK, doc, lines
 
 
-def cmd_mincol(args, out):
-    d = _get_diagram(args)
-    res = min_colors_diagram(d, args.p)
-    if args.format == "json":
-        doc = {"p": args.p, "lower_bound": res.lower_bound}
-        if res.min_colors == NO_NONTRIVIAL:
-            doc["min_colors"] = None
-        else:
-            doc["min_colors"] = res.min_colors
-            doc["witness"] = list(res.witness.values)
-        print(_jsonify(doc), file=out)
-    else:
-        print(f"p = {args.p}", file=out)
-        print(f"lower bound = {res.lower_bound}", file=out)
-        if res.min_colors == NO_NONTRIVIAL:
-            print("no nontrivial coloring", file=out)
-        else:
-            print(f"minimum colors (this diagram) = {res.min_colors}", file=out)
-            print(f"witness = {list(res.witness.values)}", file=out)
-    return EXIT_OK
-
-
-def cmd_palette(args, out):
-    colors = [int(x) for x in args.set.split(",")]
-    g = palette.palette_graph(colors, args.p)
+def cmd_palette(args):
+    g = palette.palette_graph([int(x) for x in args.set.split(",")], args.p)
+    if args.format == "dot":  # dot output never shows the witness
+        return EXIT_OK, None, [palette.to_dot(g)]
     witness = palette.connected_r_witness(g)
-    if args.format == "dot":
-        print(palette.to_dot(g), file=out)
-    elif args.format == "json":
-        doc = json.loads(palette.to_json(g))
-        doc["witness"] = sorted(witness) if witness != palette.NO_WITNESS else None
-        print(_jsonify(doc), file=out)
-    else:
-        print(f"vertices: {sorted(g.vertices)}", file=out)
-        for (u, v), label in sorted(g.edges.items()):
-            print(f"edge {u} -- {v} [label {label}]", file=out)
-        if witness == palette.NO_WITNESS:
-            print("no connected R-subgraph with >= 3 vertices", file=out)
-        else:
-            print(f"connected R-subgraph witness: {sorted(witness)}", file=out)
-    return EXIT_OK
+    doc = json.loads(palette.to_json(g))
+    doc["witness"] = None if witness == palette.NO_WITNESS else sorted(witness)
+    lines = [f"vertices: {sorted(g.vertices)}"]
+    lines += [f"edge {u} -- {v} [label {label}]"
+              for (u, v), label in sorted(g.edges.items())]
+    lines.append("no connected R-subgraph with >= 3 vertices" if doc["witness"] is None
+                 else f"connected R-subgraph witness: {doc['witness']}")
+    return EXIT_OK, doc, lines
 
 
-def cmd_candidates(args, out):
-    found = colorsets.candidates(args.p, args.size)
-    if args.format == "json":
-        doc = {"p": args.p, "k": args.size,
-               "classes": [list(c.elements) for c in found]}
-        print(_jsonify(doc), file=out)
-    else:
-        print(f"p = {args.p}, size = {args.size}: {len(found)} class(es)", file=out)
-        for c in found:
-            print("  " + ",".join(str(x) for x in c.elements), file=out)
-    return EXIT_OK
+def cmd_candidates(args):
+    found = [c.elements for c in colorsets.candidates(args.p, args.size)]
+    lines = [f"p = {args.p}, size = {args.size}: {len(found)} class(es)"]
+    lines += ["  " + ",".join(map(str, c)) for c in found]
+    doc = {"p": args.p, "k": args.size, "classes": [list(c) for c in found]}
+    return EXIT_OK, doc, lines
 
 
-def cmd_theorem62(args, out):
-    primes = [args.p] if args.p is not None else list(colorsets.ODD_PRIMES_BELOW_32)
-    ok = True
-    reports = []
-    for p in primes:
-        r = colorsets.theorem62_report(p)
-        reports.append(r)
-        ok = ok and r.empty_sizes_ok and r.matches_expected
-    if args.format == "json":
-        doc = [{"p": r.p, "k": r.critical_size,
-                "classes": [list(c) for c in r.found],
-                "empty_below": r.empty_sizes_ok,
-                "expected_match": r.matches_expected} for r in reports]
-        print(_jsonify(doc), file=out)
-    else:
-        for r in reports:
-            status = "ok" if (r.empty_sizes_ok and r.matches_expected) else "FAIL"
-            print(f"p = {r.p}: sizes < {r.critical_size} empty: "
-                  f"{'yes' if r.empty_sizes_ok else 'NO'}; "
-                  f"{len(r.found)} class(es) at size {r.critical_size}, "
-                  f"match published: {'yes' if r.matches_expected else 'NO'} "
-                  f"[{status}]", file=out)
-            for c in r.found:
-                print("  " + ",".join(str(x) for x in c), file=out)
-    return EXIT_OK if ok else EXIT_FAILURE
+def cmd_theorem62(args):
+    primes = [args.p] if args.p is not None else colorsets.ODD_PRIMES_BELOW_32
+    doc, lines = [], []
+    for r in map(colorsets.theorem62_report, primes):
+        doc.append({"p": r.p, "k": r.critical_size,
+                    "classes": [list(c) for c in r.found],
+                    "empty_below": r.empty_sizes_ok,
+                    "expected_match": r.matches_expected})
+        status = "ok" if (r.empty_sizes_ok and r.matches_expected) else "FAIL"
+        lines.append(f"p = {r.p}: sizes < {r.critical_size} empty: "
+                     f"{'yes' if r.empty_sizes_ok else 'NO'}; "
+                     f"{len(r.found)} class(es) at size {r.critical_size}, "
+                     f"match published: {'yes' if r.matches_expected else 'NO'} "
+                     f"[{status}]")
+        lines += ["  " + ",".join(map(str, c)) for c in r.found]
+    ok = all(r["empty_below"] and r["expected_match"] for r in doc)
+    return (EXIT_OK if ok else EXIT_FAILURE), doc, lines
 
 
 def _first_nontrivial(d, space):
@@ -157,44 +126,38 @@ def _first_nontrivial(d, space):
     return None
 
 
-def cmd_certify(args, out):
+def cmd_certify(args):
     d = _get_diagram(args)
     c = _first_nontrivial(d, colorings(d, args.p, budget=0))
     if c is None:
-        print(f"no nontrivial coloring mod {args.p}", file=out)
-        return EXIT_FAILURE
+        return EXIT_FAILURE, None, [f"no nontrivial coloring mod {args.p}"]
     aug = certificates.augmented_matrix(d, c)
     checks = certificates.rank_checks(aug)
     cert = certificates.extract_certificate(aug)
     ok = all(r.ok for r in checks) and not cert.violations
-    if args.format == "json":
-        doc = {
-            "p": args.p,
-            "coloring": list(c.values),
-            "rank_checks": [{"claim": r.claim, "ok": r.ok, "detail": r.detail}
-                            for r in checks],
-            "certificate": {
-                "colors": cert.ell,
-                "rows": list(cert.row_indices),
-                "cols": list(cert.col_indices),
-                "det": cert.det_value,
-                "violations": list(cert.violations),
-            },
-        }
-        print(_jsonify(doc), file=out)
-    else:
-        print(f"coloring = {list(c.values)}", file=out)
-        for r in checks:
-            print(f"{'ok ' if r.ok else 'FAIL'} {r.claim}  ({r.detail})", file=out)
-        print(f"certificate: {cert.ell} colors, submatrix rows "
-              f"{list(cert.row_indices)} cols {list(cert.col_indices)}, "
-              f"det = {cert.det_value}", file=out)
-        for v in cert.violations:
-            print(f"violation: {v}", file=out)
-    return EXIT_OK if ok else EXIT_FAILURE
+    doc = {
+        "p": args.p,
+        "coloring": list(c.values),
+        "rank_checks": [{"claim": r.claim, "ok": r.ok, "detail": r.detail}
+                        for r in checks],
+        "certificate": {
+            "colors": cert.ell,
+            "rows": list(cert.row_indices),
+            "cols": list(cert.col_indices),
+            "det": cert.det_value,
+            "violations": list(cert.violations),
+        },
+    }
+    lines = [f"coloring = {doc['coloring']}"]
+    lines += [f"{'ok ' if r.ok else 'FAIL'} {r.claim}  ({r.detail})" for r in checks]
+    lines.append(f"certificate: {cert.ell} colors, submatrix rows "
+                 f"{list(cert.row_indices)} cols {list(cert.col_indices)}, "
+                 f"det = {cert.det_value}")
+    lines += [f"violation: {v}" for v in cert.violations]
+    return (EXIT_OK if ok else EXIT_FAILURE), doc, lines
 
 
-def cmd_fox(args, out):
+def cmd_fox(args):
     d = _get_diagram(args)
     space = colorings(d, args.p, budget=0)
     n_dehn, n_fox = space.count, fox_colorings_count(d, args.p)
@@ -202,25 +165,18 @@ def cmd_fox(args, out):
     c = _first_nontrivial(d, space)
     doc = {"p": args.p, "dehn_colorings": n_dehn, "fox_colorings": n_fox,
            "p_to_1_ok": relation_ok}
+    lines = [f"Dehn colorings: {n_dehn}", f"Fox colorings:  {n_fox}",
+             f"p-to-1 relation: {'ok' if relation_ok else 'FAIL'}"]
     if c is not None:
         doc["example_dehn"] = list(c.values)
         doc["example_fox"] = list(fox_from_dehn(d, c).values)
-    if args.format == "json":
-        print(_jsonify(doc), file=out)
-    else:
-        print(f"Dehn colorings: {n_dehn}", file=out)
-        print(f"Fox colorings:  {n_fox}", file=out)
-        print(f"p-to-1 relation: {'ok' if relation_ok else 'FAIL'}", file=out)
-        if c is not None:
-            print(f"example Dehn coloring: {doc['example_dehn']}", file=out)
-            print(f"  maps to Fox coloring: {doc['example_fox']}", file=out)
-    return EXIT_OK if relation_ok else EXIT_FAILURE
+        lines += [f"example Dehn coloring: {doc['example_dehn']}",
+                  f"  maps to Fox coloring: {doc['example_fox']}"]
+    return (EXIT_OK if relation_ok else EXIT_FAILURE), doc, lines
 
 
-def cmd_det(args, out):
-    d = _get_diagram(args)
-    print(knot_determinant(d), file=out)
-    return EXIT_OK
+def cmd_det(args):
+    return EXIT_OK, None, [str(knot_determinant(_get_diagram(args)))]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -290,10 +246,13 @@ def run(argv, out=None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args, out)
+        code, doc, lines = args.func(args)
     except (ValueError, KeyError) as e:  # PDError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    json_out = doc is not None and args.format == "json"  # det has no --format
+    print(_jsonify(doc) if json_out else "\n".join(lines), file=out)
+    return code
 
 
 def main() -> None:

@@ -76,8 +76,7 @@ def _require_odd_prime(p: int) -> None:
 def inv_mod_p(a: int, p: int) -> int:
     """Inverse of a modulo an odd prime p."""
     _require_odd_prime(p)
-    a %= p
-    if a == 0:
+    if a % p == 0:
         raise NotInvertibleError(f"{a} is not invertible mod {p}")
     return pow(a, -1, p)
 

@@ -180,9 +180,10 @@ def test_certify_ignores_budget_variable(monkeypatch):
 
 
 def test_certify_no_coloring():
-    code, text = invoke(["certify", "--knot", "3_1", "--p", "5"])
-    assert code == EXIT_FAILURE
-    assert "no nontrivial coloring" in text
+    # plain text in JSON format too: there is no document to render
+    for fmt in ("table", "json"):
+        code, text = invoke(["certify", "--knot", "3_1", "--p", "5", "--format", fmt])
+        assert (code, text) == (EXIT_FAILURE, "no nontrivial coloring mod 5\n"), fmt
 
 
 def test_fox():

@@ -37,6 +37,9 @@ def test_inv_mod_p_examples():
 def test_inv_mod_p_zero_not_invertible():
     with pytest.raises(NotInvertibleError):
         inv_mod_p(0, 5)
+    # the message names the value passed, not its residue
+    with pytest.raises(NotInvertibleError, match=r"^14 is not invertible mod 7$"):
+        inv_mod_p(14, 7)
 
 
 @pytest.mark.parametrize("p", [1, 2, 4, 9, 15])

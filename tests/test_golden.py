@@ -77,8 +77,10 @@ def test_golden_has_every_case(golden):
 
 
 @pytest.mark.parametrize("label", list(CASES))
-def test_cli_output_matches_golden(golden, label):
+def test_cli_output_matches_golden(golden, label, capsys):
     assert invoke(CASES[label]) == golden[label]
+    # run writes only to the stream it is given
+    assert capsys.readouterr() == ("", "")
 
 
 if __name__ == "__main__":
