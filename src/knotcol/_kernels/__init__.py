@@ -63,10 +63,11 @@ def canonical_affine_min(elems, p):
     return tuple(best)
 
 
-def det_bareiss_small(flat, k):
+def det_bareiss_small(rows):
     """Fraction-free (Bareiss) determinant of a k x k integer matrix given
-    row-major as flat; exact for any order and entry size."""
-    a = [list(flat[i * k:(i + 1) * k]) for i in range(k)]
+    as its k rows, k >= 1; exact for any order and entry size."""
+    k = len(rows)
+    a = [list(r) for r in rows]
     sign = 1
     prev = 1
     for col in range(k - 1):

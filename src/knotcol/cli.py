@@ -4,6 +4,9 @@ Subcommands cover coloring counts, per-diagram minimum colors, palette
 graphs, candidate color-set tables, the published-table report, rank and
 determinant certificates, the Fox correspondence, and knot determinants.
 
+The shared options `--p`, `--pd`/`--knot` and `--format table|json` are
+each declared once, in a parent parser that the subcommands list.
+
 Each `cmd_*` returns (exit code, JSON document, table lines) and writes
 nothing; `run` alone writes, one rendering per call to stdout.  `det`, and
 `certify` when there is no nontrivial coloring, print plain text in every
@@ -41,10 +44,12 @@ def _get_diagram(args):
     return build_diagram(parse_pd(args.pd))
 
 
-def _add_input_args(sub):
-    grp = sub.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--pd", help="PD code, X[a,b,c,d] ... or JSON")
-    grp.add_argument("--knot", choices=sorted(CATALOG), help="catalog knot name")
+def _int_list(text):
+    """The integers of a comma-separated list, for `--set`."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError as e:  # its message quotes the bad element
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def _jsonify(doc) -> str:
@@ -71,15 +76,16 @@ def cmd_mincol(args):
 
 
 def cmd_palette(args):
-    g = palette.palette_graph([int(x) for x in args.set.split(",")], args.p)
+    g = palette.palette_graph(args.set, args.p)
     if args.format == "dot":  # dot output never shows the witness
         return EXIT_OK, None, [palette.to_dot(g)]
     witness = palette.connected_r_witness(g)
-    doc = json.loads(palette.to_json(g))
-    doc["witness"] = None if witness == palette.NO_WITNESS else sorted(witness)
-    lines = [f"vertices: {sorted(g.vertices)}"]
-    lines += [f"edge {u} -- {v} [label {label}]"
-              for (u, v), label in sorted(g.edges.items())]
+    edges = sorted(g.edges.items())
+    doc = {"p": args.p, "vertices": sorted(g.vertices),
+           "edges": [{"u": u, "v": v, "label": label} for (u, v), label in edges],
+           "witness": None if witness == palette.NO_WITNESS else sorted(witness)}
+    lines = [f"vertices: {doc['vertices']}"]
+    lines += [f"edge {u} -- {v} [label {label}]" for (u, v), label in edges]
     lines.append("no connected R-subgraph with >= 3 vertices" if doc["witness"] is None
                  else f"connected R-subgraph witness: {doc['witness']}")
     return EXIT_OK, doc, lines
@@ -185,55 +191,38 @@ def build_parser() -> argparse.ArgumentParser:
         description="Dehn p-colorings, palette graphs, and minimum-color tables",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    modulus = argparse.ArgumentParser(add_help=False)
+    modulus.add_argument("--p", type=int, required=True)
+    diagram = argparse.ArgumentParser(add_help=False)
+    source = diagram.add_mutually_exclusive_group(required=True)
+    source.add_argument("--pd", help="PD code, X[a,b,c,d] ... or JSON")
+    source.add_argument("--knot", choices=sorted(CATALOG), help="catalog knot name")
+    table_json = argparse.ArgumentParser(add_help=False)
+    table_json.add_argument("--format", choices=("table", "json"), default="table")
+    on_diagram = [modulus, diagram, table_json]
 
-    def fmt(sub, choices=("table", "json")):
-        sub.add_argument("--format", choices=choices, default="table")
-
-    s = subs.add_parser("color-count", help="dimension and count of the coloring space")
-    s.add_argument("--p", type=int, required=True)
-    _add_input_args(s)
-    fmt(s)
-    s.set_defaults(func=cmd_color_count)
-
-    s = subs.add_parser("mincol", help="per-diagram minimum colors and lower bound")
-    s.add_argument("--p", type=int, required=True)
-    _add_input_args(s)
-    fmt(s)
-    s.set_defaults(func=cmd_mincol)
-
-    s = subs.add_parser("palette", help="palette graph of a color set")
-    s.add_argument("--p", type=int, required=True)
-    s.add_argument("--set", required=True, help="comma-separated residues")
-    fmt(s, ("table", "json", "dot"))
+    subs.add_parser("color-count", help="dimension and count of the coloring space",
+                    parents=on_diagram).set_defaults(func=cmd_color_count)
+    subs.add_parser("mincol", help="per-diagram minimum colors and lower bound",
+                    parents=on_diagram).set_defaults(func=cmd_mincol)
+    s = subs.add_parser("palette", help="palette graph of a color set", parents=[modulus])
+    s.add_argument("--set", type=_int_list, required=True, help="comma-separated residues")
+    s.add_argument("--format", choices=("table", "json", "dot"), default="table")
     s.set_defaults(func=cmd_palette)
-
-    s = subs.add_parser("candidates", help="candidate color-set classes")
-    s.add_argument("--p", type=int, required=True)
+    s = subs.add_parser("candidates", help="candidate color-set classes",
+                        parents=[modulus, table_json])
     s.add_argument("--size", type=int, required=True)
-    fmt(s)
     s.set_defaults(func=cmd_candidates)
-
-    s = subs.add_parser("theorem62", help="full candidate-table report, p < 32")
+    s = subs.add_parser("theorem62", help="full candidate-table report, p < 32",
+                        parents=[table_json])
     s.add_argument("--p", type=int)
-    fmt(s)
     s.set_defaults(func=cmd_theorem62)
-
-    s = subs.add_parser("certify", help="rank checks and determinant certificate")
-    s.add_argument("--p", type=int, required=True)
-    _add_input_args(s)
-    fmt(s)
-    s.set_defaults(func=cmd_certify)
-
-    s = subs.add_parser("fox", help="Dehn-Fox correspondence summary")
-    s.add_argument("--p", type=int, required=True)
-    _add_input_args(s)
-    fmt(s)
-    s.set_defaults(func=cmd_fox)
-
-    s = subs.add_parser("det", help="knot determinant")
-    _add_input_args(s)
-    s.set_defaults(func=cmd_det)
-
+    subs.add_parser("certify", help="rank checks and determinant certificate",
+                    parents=on_diagram).set_defaults(func=cmd_certify)
+    subs.add_parser("fox", help="Dehn-Fox correspondence summary",
+                    parents=on_diagram).set_defaults(func=cmd_fox)
+    subs.add_parser("det", help="knot determinant",
+                    parents=[diagram]).set_defaults(func=cmd_det)
     return parser
 
 

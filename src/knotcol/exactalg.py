@@ -317,7 +317,7 @@ def det_int(m) -> int:
         raise ValueError("determinant requires a square matrix")
     if n == 0:
         return 1
-    return det_bareiss_small([e for r in m for e in r], n)
+    return det_bareiss_small(m)
 
 
 def rank_int(m) -> int:

@@ -7,12 +7,11 @@ each edge's label 2^{-1}(u+v), the forced class of the over-arc, itself,
 and refuses loops and edges or labels outside its vertex set.  The key
 decision is whether the graph contains a connected subgraph, on at least
 three vertices, all of whose edge labels are again vertices of the
-subgraph.
+subgraph.  `to_dot` renders a graph for Graphviz.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import InitVar, dataclass, field
 from itertools import combinations
 
@@ -107,18 +106,6 @@ def palette_graph_of_diagram(d: Diagram, c: DehnColoring) -> PaletteGraph:
         if b1 != b2:
             pairs.append((min(b1, b2), max(b1, b2)))
     return PaletteGraph(c.p, frozenset(fox.values), pairs)
-
-
-def to_json(g: PaletteGraph) -> str:
-    doc = {
-        "p": g.p,
-        "vertices": sorted(g.vertices),
-        "edges": [
-            {"u": u, "v": v, "label": label}
-            for (u, v), label in sorted(g.edges.items())
-        ],
-    }
-    return json.dumps(doc, sort_keys=True, separators=(", ", ": "))
 
 
 def to_dot(g: PaletteGraph) -> str:

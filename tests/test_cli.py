@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import sys
 from collections import Counter
 
@@ -64,6 +65,8 @@ def test_palette_table_and_json():
     code, text = invoke(["palette", "--p", "5", "--set", "0,1",
                          "--format", "json"])
     doc = json.loads(text)
+    assert doc["p"] == 5
+    assert doc["vertices"] == [0, 1, 2]
     assert doc["witness"] is None
     assert doc["edges"] == [{"label": 1, "u": 0, "v": 2}]
 
@@ -240,17 +243,56 @@ def test_usage_errors():
     assert invoke(["det", "--pd", "[[true,4,2,5],[3,6,4,1],[5,2,6,3]]"])[0] \
         == EXIT_USAGE  # boolean semiarc label
     assert invoke(["nope"])[0] == EXIT_USAGE
+    # each required option left out, and both diagram inputs at once
+    for argv in (["mincol", "--knot", "3_1"],
+                 ["palette", "--p", "7"],
+                 ["candidates", "--p", "7"],
+                 ["det"],
+                 ["fox", "--knot", "3_1", "--pd", TREFOIL, "--p", "3"]):
+        assert invoke(argv)[0] == EXIT_USAGE, argv
+    # an empty or non-integer element of --set
+    for elems in ("0,,1", "0,x"):
+        assert invoke(["palette", "--p", "7", "--set", elems])[0] == EXIT_USAGE
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["mincol", "--help"]])
+DIAGRAM_OPTIONS = ("--p", "--pd", "--knot", "--format")
+OPTIONS = {
+    "color-count": DIAGRAM_OPTIONS,
+    "mincol": DIAGRAM_OPTIONS,
+    "palette": ("--p", "--set", "--format"),
+    "candidates": ("--p", "--size", "--format"),
+    "theorem62": ("--p", "--format"),
+    "certify": DIAGRAM_OPTIONS,
+    "fox": DIAGRAM_OPTIONS,
+    "det": ("--pd", "--knot"),
+}
+
+
+# the top-level and mincol help come first, so they keep the ids argv0, argv1
+@pytest.mark.parametrize("argv", [["--help"], ["mincol", "--help"]] + [
+    [cmd, "--help"] for cmd in OPTIONS if cmd != "mincol"])
 def test_help_goes_to_out(capsys, argv):
     code, text = invoke(argv)
     assert code == EXIT_OK
     assert text.startswith("usage: knotcol")
     assert capsys.readouterr() == ("", "")
+    # each subcommand's help names exactly its own options; the top-level
+    # help names every subcommand
+    options = set(re.findall(r"--[a-z][a-z0-9-]*", text))
+    if argv[0] in OPTIONS:
+        assert options == {"--help", *OPTIONS[argv[0]]}
+    else:
+        assert options == {"--help"}
+        assert all(cmd in text for cmd in OPTIONS)
 
 
 def test_usage_error_goes_to_stderr(capsys):
     code, text = invoke(["mincol", "--p", "3"])
     assert (code, text) == (EXIT_USAGE, "")
     assert "usage: knotcol mincol" in capsys.readouterr().err
+
+    # a bad --set element is named, with the option, by the parser
+    code, text = invoke(["palette", "--p", "7", "--set", ",1"])
+    assert (code, text) == (EXIT_USAGE, "")
+    err = capsys.readouterr().err
+    assert "--set" in err and "''" in err

@@ -10,8 +10,8 @@ def test_backend_reported():
 
 
 def test_fallback_det_known_values():
-    assert _kernels.det_bareiss_small([1, 2, 3, 4], 2) == -2
-    assert _kernels.det_bareiss_small([7], 1) == 7
+    assert _kernels.det_bareiss_small([[1, 2], [3, 4]]) == -2
+    assert _kernels.det_bareiss_small([[7]]) == 7
 
 
 def _min_over_all_affine_maps(elems, p):

@@ -26,7 +26,6 @@ from knotcol.palette import (
     palette_graph,
     palette_graph_of_diagram,
     to_dot,
-    to_json,
 )
 
 
@@ -174,14 +173,7 @@ def test_palette_graph_refuses_bad_edges_at_construction():
     assert g.edges == {(0, 1): 3}
 
 
-def test_json_and_dot_emission():
-    g = palette_graph({0, 1}, 5)
-    doc = to_json(g)
-    assert '"p": 5' in doc
-    import json
-    parsed = json.loads(doc)
-    assert parsed["vertices"] == [0, 1, 2]
-    assert parsed["edges"] == [{"u": 0, "v": 2, "label": 1}]
-    dot = to_dot(g)
+def test_dot_emission():
+    dot = to_dot(palette_graph({0, 1}, 5))
     assert dot.startswith("graph palette {")
     assert '"0" -- "2" [label="1"];' in dot
