@@ -1,6 +1,8 @@
 """The hot kernels: affine canonicalization of color sets and the exact
 Bareiss determinant.  Pure Python, exact for any integer input."""
 
+from itertools import combinations
+
 # perfbench/run.py reads this name at run time to label its results
 BACKEND = "python"
 
@@ -23,21 +25,30 @@ def canonical_affine_min(elems, p):
 
     The first step is fused into building the pairs: the point at r = 2 is
     2f - e, so 2 is recorded exactly when elems holds a three-term
-    progression e, f, 2f - e, and only those pairs are built.  All k(k-1)
-    pairs are built only when there is none; nothing is dropped then, and
-    the walk goes on from r = 3.
+    progression e, f, g = 2f - e, and only those pairs are built.  Each
+    progression is found once, by its midpoint: for each unordered pair
+    {e, g} of elems, f = (e + g) * (p + 1)/2 mod p, and when f lies in
+    elems the progression read from either end gives the two pairs
+    (f - e, e) and (f - g, g).  That is one test per unordered pair.
+    All k(k-1) pairs are built only when there is no progression; nothing
+    is dropped then, and the walk goes on from r = 3.
 
-    The walk stops after step k + 1, or earlier when one pair is left, so it
-    makes O(k^3) multiplications and lookups whatever p is.  If fewer than k
-    values are recorded by then, the finish step computes the full image of
-    each survivor, with one inverse of d each, and takes the least.
+    The walk stops after step k + 1, or earlier when at most two pairs are
+    left, so it makes O(k^3) multiplications and lookups whatever p is.
+    If fewer than k values are recorded by then, the finish step computes
+    the full image of each survivor, with one inverse of d each, and takes
+    the least; for two survivors that costs less than walking them on.
     """
     k = len(elems)
     if k <= 2:
         return (0, 1)[:k]
     members = set(elems)
-    pairs = [((f - e) % p, e) for e in elems for f in elems
-             if e != f and (2 * f - e) % p in members]
+    half = (p + 1) // 2
+    pairs = []
+    for e, g in combinations(elems, 2):
+        f = (e + g) * half % p
+        if f in members:
+            pairs += ((f - e) % p, e), ((f - g) % p, g)
     if pairs:
         if k == 3:
             return (0, 1, 2)
@@ -46,7 +57,7 @@ def canonical_affine_min(elems, p):
         pairs = [((f - e) % p, e) for e in elems for f in elems if e != f]
         image = [0, 1]
     for r in range(3, k + 2):
-        if len(pairs) == 1:
+        if len(pairs) <= 2:
             break
         hits = [(d, e) for d, e in pairs if (e + r * d) % p in members]
         if hits:
@@ -54,13 +65,11 @@ def canonical_affine_min(elems, p):
             if len(image) == k:
                 return tuple(image)
             pairs = hits
-    best = None
+    images = []
     for d, e in pairs:
         s = pow(d, -1, p)
-        img = sorted((y - e) * s % p for y in elems)
-        if best is None or img < best:
-            best = img
-    return tuple(best)
+        images.append(sorted([(y - e) * s % p for y in elems]))
+    return tuple(min(images))
 
 
 def det_bareiss_small(rows):

@@ -206,7 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
     subs.add_parser("mincol", help="per-diagram minimum colors and lower bound",
                     parents=on_diagram).set_defaults(func=cmd_mincol)
     s = subs.add_parser("palette", help="palette graph of a color set", parents=[modulus])
-    s.add_argument("--set", type=_int_list, required=True, help="comma-separated residues")
+    s.add_argument("--set", type=_int_list, required=True,
+                   help="comma-separated residues; a set with a negative first "
+                        "element is written --set=-3,9")
     s.add_argument("--format", choices=("table", "json", "dot"), default="table")
     s.set_defaults(func=cmd_palette)
     s = subs.add_parser("candidates", help="candidate color-set classes",

@@ -13,7 +13,7 @@ subgraph.  `to_dot` renders a graph for Graphviz.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 from knotcol.coloring import DehnColoring, fox_from_dehn
 from knotcol.diagram import Diagram, components
@@ -51,12 +51,11 @@ def palette_graph(colors, p: int) -> PaletteGraph:
     # other displayed condition being this one with a3 and a4 swapped; that
     # is a1 - a2 = a4 - a3, so the sums of the ordered pairs of one
     # difference form a clique.  (x, y) and (y, x) have one sum, so the
-    # difference is taken up to sign
+    # difference is taken up to sign, and only the pairs x <= y are formed
     cliques = {}
-    for x in s:
-        for y in s:
-            d = (x - y) % p
-            cliques.setdefault(min(d, p - d), set()).add((x + y) % p)
+    for x, y in combinations_with_replacement(sorted(s), 2):
+        d = y - x
+        cliques.setdefault(min(d, p - d), set()).add((x + y) % p)
     vertices = frozenset().union(*cliques.values())
     return PaletteGraph(p, vertices, (
         e for sums in cliques.values() for e in combinations(sorted(sums), 2)))
@@ -73,16 +72,16 @@ def connected_r_witness(g: PaletteGraph):
     lies in a different connected component than its endpoints.  Any
     label-closed connected subgraph survives every round, and at the
     fixpoint each component is itself label-closed, so a component with
-    at least three vertices is exactly a witness.
+    at least three vertices is exactly a witness.  Each round keeps its
+    edges in a new dict; `g.edges` is only read, never copied or changed.
     """
-    edges = dict(g.edges)
+    edges = g.edges
     while True:
         comp = components(g.vertices, edges)
-        doomed = [e for e, label in edges.items() if comp[label] != comp[e[0]]]
-        if not doomed:
+        kept = {e: label for e, label in edges.items() if comp[label] == comp[e[0]]}
+        if len(kept) == len(edges):
             break
-        for e in doomed:
-            del edges[e]
+        edges = kept
     sizes = {}
     for v, c in comp.items():
         sizes.setdefault(c, set()).add(v)

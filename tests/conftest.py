@@ -102,6 +102,27 @@ def brute_r_witness_exists(g):
     return False
 
 
+def reference_connected_r_witness(g):
+    """The greatest-fixpoint witness search on a copy of the edges, deleting
+    each round's doomed edges in place: the reference that
+    `connected_r_witness` must equal, witness set and all."""
+    edges = dict(g.edges)
+    while True:
+        comp = components(g.vertices, edges)
+        doomed = [e for e, label in edges.items() if comp[label] != comp[e[0]]]
+        if not doomed:
+            break
+        for e in doomed:
+            del edges[e]
+    sizes = {}
+    for v, c in comp.items():
+        sizes.setdefault(c, set()).add(v)
+    qualifying = [vs for vs in sizes.values() if len(vs) >= 3]
+    if not qualifying:
+        return "none"
+    return frozenset(min(qualifying, key=min))
+
+
 @dataclass(frozen=True)
 class RSubgraph:
     vertices: frozenset

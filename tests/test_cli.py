@@ -71,6 +71,14 @@ def test_palette_table_and_json():
     assert doc["edges"] == [{"label": 1, "u": 0, "v": 2}]
 
 
+def test_palette_set_with_negative_first_element():
+    # argparse would read "--set -3,9" as an option; "--set=-3,9" is the
+    # set {-3, 9}, which is {4, 2} mod 7
+    code, text = invoke(["palette", "--p", "7", "--set=-3,9", "--format", "json"])
+    assert code == EXIT_OK
+    assert text == invoke(["palette", "--p", "7", "--set", "2,4", "--format", "json"])[1]
+
+
 def test_palette_dot():
     code, text = invoke(["palette", "--p", "5", "--set", "0,1",
                          "--format", "dot"])

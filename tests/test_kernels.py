@@ -70,10 +70,11 @@ def test_canonical_matches_pair_maps_scanned_subsets():
                     == _min_over_pair_maps(elems, p), (elems, p)
 
 
-def _has_three_term_progression(elems, p):
-    members = set(elems)
-    return any(e != f and (2 * f - e) % p in members
-               for e in elems for f in elems)
+def _progressions(elems, p):
+    """The three-term progressions of elems as (end, midpoint, end) with
+    ends e < g, found by testing every middle element against every end."""
+    return sorted((e, f, g) for f in elems for e in elems for g in elems
+                  if e < g and (e + g - 2 * f) % p == 0)
 
 
 def test_canonical_without_three_term_progression():
@@ -84,12 +85,57 @@ def test_canonical_without_three_term_progression():
              ((5, 6, 8), 31, (0, 1, 3)), ((2, 9, 23), 2**31 - 1, None),
              ((0, 1, 5, 7), 31, None), ((0, 1, 4, 6, 13), 31, None)]
     for elems, p, expected in cases:
-        assert not _has_three_term_progression(elems, p), (elems, p)
+        assert not _progressions(elems, p), (elems, p)
         got = _kernels.canonical_affine_min(elems, p)
         assert got == _min_over_pair_maps(elems, p), (elems, p)
         assert 2 not in got
         if expected is not None:
             assert got == expected, (elems, p)
+
+
+def _extend_without_progressions(elems, p, size):
+    """elems followed by the least further residues that add no
+    three-term progression, up to size elements."""
+    elems = list(elems)
+    count = len(_progressions(elems, p))
+    for c in range(p):
+        if len(elems) == size:
+            break
+        if c not in elems and len(_progressions(elems + [c], p)) == count:
+            elems.append(c)
+    return tuple(elems)
+
+
+def test_canonical_midpoint_through_inverse_of_two():
+    # the one progression 0, (p + 1)/2, 1 has ends of odd sum, so its
+    # midpoint is (0 + 1) * 2^{-1} = (p + 1)/2, not an integer midpoint
+    for p in (5, 7, 11, 13, 17, 19, 23, 29, 31):
+        h = (p + 1) // 2
+        elems = _extend_without_progressions((0, 1, h), p, min(p, 7))
+        assert _progressions(elems, p) == [(0, h, 1)], (elems, p)
+        for k in range(3, len(elems) + 1):
+            got = _kernels.canonical_affine_min(elems[:k], p)
+            assert got == _min_over_all_affine_maps(elems[:k], p), (elems[:k], p)
+            assert got[:3] == (0, 1, 2)
+
+
+def test_canonical_midpoint_at_large_prime():
+    # at p = 2^31 - 1: progressions whose ends have an odd sum, one of them
+    # wrapping past p, and a progression-free set
+    p = 2**31 - 1
+    h = (p + 1) // 2
+    wrapping = [(0, 1, h), (0, 1, h, 5), (7, 8, 7 + h, 1000),
+                (p - 3, p - 2, (p - 5) // 2, 12345)]
+    for elems in wrapping:
+        assert len(_progressions(elems, p)) == 1, elems
+        got = _kernels.canonical_affine_min(elems, p)
+        assert got == _min_over_pair_maps(elems, p), elems
+        assert got[:3] == (0, 1, 2)
+    for elems in ((0, 1, 3, 9, 27, 81), (p - 1, 0, 2, 2**20)):
+        assert not _progressions(elems, p), elems
+        got = _kernels.canonical_affine_min(elems, p)
+        assert got == _min_over_pair_maps(elems, p), elems
+        assert 2 not in got
 
 
 def test_canonical_matches_pair_maps_large_primes():

@@ -8,6 +8,7 @@ from conftest import (
     brute_r_witness_exists,
     dividing_primes,
     is_r_subgraph,
+    reference_connected_r_witness,
     to_rsubgraph,
 )
 from knotcol.coloring import (
@@ -17,8 +18,10 @@ from knotcol.coloring import (
     colorings,
     fox_from_dehn,
     knot_determinant,
+    theorem_lower_bound,
 )
-from knotcol.diagram import catalog_diagram
+from knotcol.colorsets import ODD_PRIMES_BELOW_32, enumerate_classes
+from knotcol.diagram import catalog_diagram, components
 from knotcol.palette import (
     NO_WITNESS,
     PaletteGraph,
@@ -70,6 +73,21 @@ def test_palette_graph_matches_definition():
         assert (g.vertices, g.edges) == (vertices, edges), (sorted(s), p)
 
 
+def test_palette_graph_reduces_colors_mod_p():
+    # duplicates, negative values and values >= p give the graph of their
+    # residues
+    rng = random.Random(7)
+    cases = [([0, 7, -7, 1, 8, -6, 15], 7), ([-1, -2, -4, 30, 30], 11),
+             ([2 * 31 + 5, -31 + 5, 5, 6], 31)]
+    for p in (3, 5, 13, 29):
+        for _ in range(5):
+            cases.append(([rng.randrange(-3 * p, 3 * p) for _ in range(rng.randint(1, 8))], p))
+    for colors, p in cases:
+        g = palette_graph(colors, p)
+        residues = palette_graph(sorted({a % p for a in colors}), p)
+        assert (g.vertices, g.edges) == (residues.vertices, residues.edges), (colors, p)
+
+
 def test_labels_are_vertices():
     for p in (5, 7, 11):
         for s in combinations(range(p), 3):
@@ -97,6 +115,30 @@ def test_fixpoint_agrees_with_brute_force(p):
             g = palette_graph(s, p)
             got = connected_r_witness(g) != NO_WITNESS
             assert got == brute_r_witness_exists(g), (p, s)
+
+
+def test_fixpoint_leaves_graph_edges_unchanged():
+    # {0, 1, 2, 3} at 7: the full graph has a component of 4 vertices but
+    # no witness, so the fixpoint drops edges before it stops
+    for s, p in (((0, 1, 2, 3), 7), ((0, 1, 2, 4), 7), ((0, 1, 2, 3, 6), 11)):
+        g = palette_graph(s, p)
+        edges, before = g.edges, dict(g.edges)
+        connected_r_witness(g)
+        assert g.edges is edges and g.edges == before, (s, p)
+    g = palette_graph((0, 1, 2, 3), 7)
+    roots = list(components(g.vertices, g.edges).values())
+    assert max(map(roots.count, roots)) == 4
+    assert connected_r_witness(g) == NO_WITNESS
+
+
+def test_fixpoint_matches_reference_over_tables():
+    # the witness set itself, on every class the candidate tables meet
+    for p in ODD_PRIMES_BELOW_32:
+        for k in range(1, theorem_lower_bound(p) + 1):
+            for cs in enumerate_classes(p, k):
+                g = palette_graph(cs.elements, p)
+                assert connected_r_witness(g) == reference_connected_r_witness(g), \
+                    (cs.elements, p)
 
 
 def test_witness_is_connected_r_subgraph():
