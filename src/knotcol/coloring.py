@@ -5,6 +5,7 @@ determinant."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from knotcol import exactalg
 from knotcol.diagram import Diagram, checkerboard
@@ -269,9 +270,23 @@ def alexander_matrix_at_minus_one(d: Diagram) -> list:
 
 
 def knot_determinant(d: Diagram) -> int:
-    """gcd of the (n+1)-minors, via the product of invariant factors."""
-    factors = exactalg.smith_invariant_factors(alexander_matrix_at_minus_one(d))
-    det = 1
-    for f in factors[:d.n + 1]:
-        det *= f
-    return det
+    """det(K), the gcd of the (n+1)-minors of A = A_D(-1), read off the
+    pivots of the one Euclid elimination of A over Z that `rank_int` runs.
+
+    For a knot, A is (n+1) x (n+2) with rank n+1.  Its kernel over Q is
+    then spanned by the 0/1 checkerboard shading, which is a coloring with
+    region 0 unshaded, so A kills it.  By Cramer's rule the vector of
+    signed maximal minors lies in that kernel: it is mu * shading, and the
+    gcd of the minors is |mu|.  The elimination adds integer multiples of
+    rows to other rows and renames the columns, which keeps each maximal
+    minor up to sign and order.  Its n+1 pivot rows are in echelon form,
+    so their minor that drops the one non-pivot column is the product of
+    the pivot entries.  That minor is nonzero, so it is +-mu = +-det(K).
+    A rank below n+1, as on the diagram of a split link, makes every
+    maximal minor 0.
+    """
+    rows = exactalg._rcm_rows(alexander_matrix_at_minus_one(d))[0]
+    pivots = exactalg._eliminate_rows(rows)
+    if len(pivots) <= d.n:
+        return 0
+    return abs(prod(r[c] for c, r in pivots.items()))

@@ -47,6 +47,8 @@ def parse_pd(text: str) -> PDCode:
             raise PDError(f"cannot parse PD JSON: {e}") from e
         if not isinstance(data, list) or not all(isinstance(q, list) for q in data):
             raise PDError("PD JSON must be an array of 4-element arrays")
+        if not data:
+            raise PDError("PD code has no crossings")
         for q in data:
             if len(q) != 4:
                 raise PDError(f"crossing {q} does not have 4 semiarc labels")

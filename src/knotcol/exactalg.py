@@ -138,9 +138,9 @@ def _rcm_rows(m, p=None):
     return [{new[j]: v for j, v in r.items()} for r in rows], order
 
 
-def _eliminate(m, p=None, reduced=False) -> dict:
+def _eliminate(m, p=None) -> dict:
     """`_eliminate_rows` on the rows of m, columns left to right."""
-    return _eliminate_rows(_sparse_rows(m, p), p, reduced)
+    return _eliminate_rows(_sparse_rows(m, p), p)
 
 
 def _eliminate_rows(rows, p=None, reduced=False) -> dict:

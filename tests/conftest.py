@@ -180,6 +180,14 @@ def torus_pd(n):
         for i in range(n))
 
 
+def seeded_pretzels(seed, count):
+    """Twist tuples of pretzel knots: an odd number (3, 5 or 7) of odd
+    twists in 1..15, so each is a knot."""
+    rng = random.Random(seed)
+    return [tuple(rng.randrange(1, 16, 2) for _ in range(rng.choice((3, 5, 7))))
+            for _ in range(count)]
+
+
 def pretzel_pd(twists):
     """PD code of the pretzel knot P(m_1, ..., m_k), k and every m_i odd.
 

@@ -250,6 +250,7 @@ def test_usage_errors():
     assert invoke(["candidates", "--p", "1000003", "--size", "2"])[0] == EXIT_OK
     assert invoke(["det", "--pd", "[[true,4,2,5],[3,6,4,1],[5,2,6,3]]"])[0] \
         == EXIT_USAGE  # boolean semiarc label
+    assert invoke(["det", "--pd", "[]"])[0] == EXIT_USAGE  # no crossings
     assert invoke(["nope"])[0] == EXIT_USAGE
     # each required option left out, and both diagram inputs at once
     for argv in (["mincol", "--knot", "3_1"],

@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from math import prod
 
 import pytest
 
@@ -9,6 +10,7 @@ from conftest import (
     brute_fox_count,
     dividing_primes,
     pretzel_pd,
+    seeded_pretzels,
     torus_pd,
 )
 from knotcol import coloring, exactalg
@@ -37,6 +39,8 @@ from knotcol.coloring import (
 )
 from knotcol.diagram import (
     CATALOG,
+    CATALOG_DETERMINANTS,
+    PDCode,
     build_diagram,
     catalog_diagram,
     checkerboard,
@@ -293,10 +297,32 @@ def test_p_to_1_correspondence(catalog):
             assert fox_colorings_count(d, p) == brute_fox_count(d, p)
 
 
-def test_knot_determinants_catalog(catalog):
-    from knotcol.diagram import CATALOG_DETERMINANTS
+def test_knot_determinants_catalog(catalog, monkeypatch):
+    # the determinant is read off the pivots; no Smith form is computed
+    def refuse(m):
+        raise AssertionError("knot_determinant computed a Smith form")
+
+    monkeypatch.setattr(exactalg, "smith_invariant_factors", refuse)
     for name, d in catalog.items():
         assert knot_determinant(d) == CATALOG_DETERMINANTS[name]
+
+
+def test_knot_determinant_matches_smith_and_closed_forms(catalog):
+    # det T(2, n) = n, and det P(m_1, ..., m_k) is the sum over i of the
+    # product of the m_j with j != i: ab + bc + ca for P(a, b, c)
+    cases = [(d, CATALOG_DETERMINANTS[name]) for name, d in catalog.items()]
+    cases += [(build_diagram(parse_pd(torus_pd(n))), n) for n in range(3, 202, 2)]
+    cases += [(build_diagram(parse_pd(pretzel_pd(t))),
+               sum(prod(t[:i] + t[i + 1:]) for i in range(len(t))))
+              for t in seeded_pretzels(20, 60)]
+    # link diagrams, which validation refuses, still build: the Hopf link
+    # has determinant 2, and on the two-crossing diagram of the unlink A has
+    # rank n, so every maximal minor is 0 though both pivots are nonzero
+    cases += [(build_diagram(PDCode(((1, 3, 2, 4), (3, 1, 4, 2)))), 2),
+              (build_diagram(PDCode(((3, 1, 2, 4), (2, 1, 3, 4)))), 0)]
+    for d, det in cases:
+        factors = exactalg.smith_invariant_factors(alexander_matrix_at_minus_one(d))
+        assert knot_determinant(d) == prod(factors[:d.n + 1]) == det, d.pd
 
 
 def test_rank_statements_trefoil(trefoil):

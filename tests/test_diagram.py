@@ -2,7 +2,13 @@ import random
 import re
 
 import pytest
-from conftest import pretzel_pd, reference_build_diagram, reference_validate_pd, torus_pd
+from conftest import (
+    pretzel_pd,
+    reference_build_diagram,
+    reference_validate_pd,
+    seeded_pretzels,
+    torus_pd,
+)
 
 from knotcol.diagram import (
     CATALOG,
@@ -52,6 +58,11 @@ def test_parse_pd_rejects_bad_labels():
 def test_parse_pd_names_a_non_integer_text_label():
     with pytest.raises(PDError, match=r"non-integer semiarc label in X\[1,,2,3\]"):
         parse_pd("X[1,2,3,4] X[1,,2,3]")
+
+
+def test_parse_pd_rejects_no_crossings():
+    with pytest.raises(PDError, match="^PD code has no crossings$"):
+        parse_pd("[]")
 
 
 def test_parse_pd_rejects_links():
@@ -146,13 +157,6 @@ def test_unknown_catalog_name():
         catalog_diagram("8_19")
 
 
-def _seeded_pretzels(seed, count):
-    """Odd numbers of odd twists, so each is a knot."""
-    rng = random.Random(seed)
-    return [tuple(rng.randrange(1, 16, 2) for _ in range(rng.choice((3, 5, 7))))
-            for _ in range(count)]
-
-
 def _relabeled(pd, rng):
     """The same knot with its crossings shuffled and its labels sent to
     distinct integers of either sign, so labels no longer follow the
@@ -168,7 +172,7 @@ def test_build_diagram_matches_reference():
     pds = [parse_pd(text) for text in CATALOG.values()]
     pds += [parse_pd(KINK), PDCode(((1, 1, 2, 2),))]
     pds += [parse_pd(torus_pd(n)) for n in range(3, 202, 2)]
-    pds += [parse_pd(pretzel_pd(t)) for t in _seeded_pretzels(11, 40)]
+    pds += [parse_pd(pretzel_pd(t)) for t in seeded_pretzels(11, 40)]
     rng = random.Random(12)
     pds += [_relabeled(pd, rng) for pd in pds[:] for _ in range(2)]
     for pd in pds:
