@@ -10,7 +10,7 @@ nonzero multiple of p bounded by 2^(colors-1).  Together these force
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, compress
+from itertools import combinations
 
 from knotcol import exactalg
 from knotcol.coloring import (
@@ -21,6 +21,7 @@ from knotcol.coloring import (
     coloring_matrix,
 )
 from knotcol.diagram import Diagram
+from knotcol.exactalg import SparseMatrix
 
 VARIANT_A = "A"  # unit extra row, colors refine the checkerboard shading
 VARIANT_B = "B"  # difference row e_i - e_j across the shading
@@ -37,13 +38,13 @@ class CertificateError(RuntimeError):
 @dataclass(frozen=True)
 class AugmentedMatrix:
     variant: str
-    base: list               # n x (n+2) coloring matrix
-    extra_row: tuple
+    base: SparseMatrix       # the n x (n+2) coloring matrix M
+    extra_row: dict          # {column: nonzero}: e_0, or e_i - e_j
     indices: tuple           # (0,) for variant A, (i, j) for variant B
     coloring: DehnColoring   # variant A: shifted so region 0 has color 0
 
-    def full(self) -> list:
-        return self.base + [self.extra_row]
+    def full(self) -> SparseMatrix:
+        return SparseMatrix(self.base.rows + [self.extra_row], self.base.ncols)
 
 
 @dataclass(frozen=True)
@@ -64,21 +65,19 @@ def augmented_matrix(d: Diagram, c: DehnColoring) -> AugmentedMatrix:
     p = c.p
     shading = checkerboard_coloring(d, p).values
     base = coloring_matrix(d)
-    nreg = len(d.regions)
-    # variant B applies when some color class crosses the shading
-    pair = None
-    for i, j in combinations(range(nreg), 2):
-        if c.values[i] == c.values[j] and shading[i] != shading[j]:
-            pair = (i, j)
-            break
-    extra = [0] * nreg
-    if pair is None:
+    # variant B applies when some color class crosses the shading; it takes
+    # the least pair i < j of one color and two shades, and i is the first
+    # region whose color's last region of the other shade comes after it
+    classes = list(zip(c.values, shading))
+    last = {key: i for i, key in enumerate(classes)}
+    i = next((i for i, (v, s) in enumerate(classes) if last.get((v, 1 - s), -1) > i),
+             None)
+    if i is None:
         shifted = DehnColoring(p, tuple((v - c.values[0]) % p for v in c.values))
-        extra[0] = 1
-        return AugmentedMatrix(VARIANT_A, base, tuple(extra), (0,), shifted)
-    extra[pair[0]] = 1
-    extra[pair[1]] = -1
-    return AugmentedMatrix(VARIANT_B, base, tuple(extra), pair, c)
+        return AugmentedMatrix(VARIANT_A, base, {0: 1}, (0,), shifted)
+    v, s = classes[i]
+    j = classes.index((v, 1 - s), i + 1)
+    return AugmentedMatrix(VARIANT_B, base, {i: 1, j: -1}, (i, j), c)
 
 
 @dataclass(frozen=True)
@@ -92,13 +91,13 @@ def rank_checks(aug: AugmentedMatrix) -> list:
     """Verify the rank statements for M, A_D(-1), and B on this instance."""
     p = aug.coloring.p
     m = aug.base
-    n = len(m)
+    n = len(m.rows)
     # A_D(-1) is M with the unit row e1 appended, and B is M with the
     # augmented matrix's extra row appended: one elimination of M per ring
     # ranks all three
-    e1 = (1,) + (0,) * (len(aug.extra_row) - 1)
-    rz, rza, rzb = exactalg.ranks_appending(m, [e1, aug.extra_row])
-    rp, rpa, rpb = exactalg.ranks_appending(m, [e1, aug.extra_row], p)
+    extra = SparseMatrix([{0: 1}, aug.extra_row], m.ncols)
+    rz, rza, rzb = exactalg.ranks_appending(m, extra)
+    rp, rpa, rpb = exactalg.ranks_appending(m, extra, p)
     report = [
         RankCheck("rank_Z M = n", rz == n, f"rank_Z M = {rz}, n = {n}"),
         RankCheck("rank_p M <= n-1", rp <= n - 1, f"rank_{p} M = {rp}, n-1 = {n - 1}"),
@@ -114,18 +113,19 @@ def rank_checks(aug: AugmentedMatrix) -> list:
 
 
 def merge_columns(m: AugmentedMatrix) -> list:
-    """Sum together the columns of regions sharing a color.
+    """Sum together the columns of regions sharing a color, reading only the
+    stored entries of the full matrix.
 
     Output columns are ordered by increasing color value, so the merged
-    matrix has one column per color used.
+    matrix is a dense list of rows with one column per color used.
     """
     values = m.coloring.values
     column = {color: j for j, color in enumerate(sorted(set(values)))}
     target = [column[v] for v in values]
     merged = []
-    for row in m.full():
+    for row in m.full().rows:
         out = [0] * len(column)
-        for j, e in compress(enumerate(row), row):
+        for j, e in row.items():
             out[target[j]] += e
         merged.append(out)
     return merged

@@ -9,7 +9,7 @@ from math import prod
 
 from knotcol import exactalg
 from knotcol.diagram import Diagram, checkerboard
-from knotcol.exactalg import _require_odd_prime
+from knotcol.exactalg import SparseMatrix, _require_odd_prime
 
 # the default cap of colorings(); perfbench/run.py also reads this name
 DEFAULT_BUDGET = 10 ** 6
@@ -48,19 +48,27 @@ class FoxColoring:
     values: tuple  # arc index -> residue
 
 
-def coloring_matrix(d: Diagram) -> list:
-    """n x (n+2) matrix of the crossing relations x1 - x2 + x3 - x4 = 0."""
-    nreg = len(d.regions)
+def _sparse_row(*terms) -> dict:
+    """The sum of the terms (column, coefficient) as a row {column:
+    nonzero}: terms in one column merge, and a column that cancels is not
+    stored."""
+    row = {}
+    for j, v in terms:
+        row[j] = row.get(j, 0) + v
+    return {j: v for j, v in row.items() if v}
+
+
+def coloring_matrix(d: Diagram) -> SparseMatrix:
+    """The crossing relations x1 - x2 + x3 - x4 = 0, one row per crossing
+    and one column per region: n x (n+2), at most 4 nonzeros a row.  At a
+    kink two quadrants are one region, and their entries merge or cancel."""
     rows = []
-    for i in range(d.n):
-        x1, x2, x3, x4 = d.crossing_relation_regions(i)
-        row = [0] * nreg
-        row[x1] += 1
-        row[x3] += 1
-        row[x2] -= 1
-        row[x4] -= 1
-        rows.append(row)
-    return rows
+    for q01, q12, q23, q30 in d.quadrants:  # x1, x2, x3, x4 = q01, q30, q12, q23
+        if len({q01, q12, q23, q30}) == 4:
+            rows.append({q01: 1, q12: 1, q30: -1, q23: -1})
+        else:
+            rows.append(_sparse_row((q01, 1), (q12, 1), (q30, -1), (q23, -1)))
+    return SparseMatrix(rows, len(d.regions))
 
 
 def is_valid_coloring(d: Diagram, c: DehnColoring) -> bool:
@@ -248,25 +256,24 @@ def fox_is_valid(d: Diagram, f: FoxColoring) -> bool:
     return True
 
 
+def fox_matrix(d: Diagram) -> SparseMatrix:
+    """The arc relations u + u' - 2w = 0, one row per crossing (u and u'
+    the under arcs, w the over arc) and one column per arc."""
+    arc = d.arc_of_semiarc
+    return SparseMatrix([_sparse_row((arc[a], 1), (arc[cc], 1), (arc[b], -2))
+                         for a, b, cc, _ in d.pd.crossings], len(d.arcs))
+
+
 def fox_colorings_count(d: Diagram, p: int) -> int:
     """#Fox colorings, by rank of the arc relation system mod p."""
     _require_odd_prime(p)
-    narcs = len(d.arcs)
-    rows = []
-    for a, b, cc, dd in d.pd.crossings:
-        row = [0] * narcs
-        row[d.arc_of_semiarc[a]] += 1
-        row[d.arc_of_semiarc[cc]] += 1
-        row[d.arc_of_semiarc[b]] -= 2
-        rows.append(row)
-    return p ** (narcs - exactalg.rank_mod_p(rows, p))
+    return p ** (len(d.arcs) - exactalg.rank_mod_p(fox_matrix(d), p))
 
 
-def alexander_matrix_at_minus_one(d: Diagram) -> list:
+def alexander_matrix_at_minus_one(d: Diagram) -> SparseMatrix:
     """The (n+1) x (n+2) coloring matrix augmented with the unit row e1."""
-    e0 = [0] * len(d.regions)
-    e0[0] = 1
-    return coloring_matrix(d) + [e0]
+    m = coloring_matrix(d)
+    return SparseMatrix(m.rows + [{0: 1}], m.ncols)
 
 
 def knot_determinant(d: Diagram) -> int:

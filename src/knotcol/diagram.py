@@ -47,8 +47,6 @@ def parse_pd(text: str) -> PDCode:
             raise PDError(f"cannot parse PD JSON: {e}") from e
         if not isinstance(data, list) or not all(isinstance(q, list) for q in data):
             raise PDError("PD JSON must be an array of 4-element arrays")
-        if not data:
-            raise PDError("PD code has no crossings")
         for q in data:
             if len(q) != 4:
                 raise PDError(f"crossing {q} does not have 4 semiarc labels")
@@ -120,6 +118,8 @@ def _cycles(succ):
 
 
 def validate_pd(pd: PDCode) -> PDCode:
+    if not pd.crossings:
+        raise PDError("PD code has no crossings")
     other = _darts(pd)[1]
     # the strand entering at dart d leaves at d ^ 2 (0-2 under, 1-3 over)
     # and enters the next crossing at other[d ^ 2]; each component is two

@@ -1,13 +1,17 @@
 """Exact linear algebra over Z and Z_p.
 
 All computations use Python's unbounded integers; nothing here ever touches
-floating point.  A matrix is a list of integer rows (tuples are read
-alike), and a vector mod p is a tuple of residues in [0, p).  No public
-function here changes its input.
+floating point.  A matrix is a `SparseMatrix`: rows {column: nonzero} and
+a column count.  The public rank, nullspace and Smith entry points also
+take a dense list of integer rows (tuples are read alike), which
+`as_sparse` converts once; `det_int` takes a small dense square matrix.  A
+vector mod p is a tuple of residues in [0, p).  No public function here
+changes its input.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import compress
 from math import gcd
@@ -81,18 +85,38 @@ def inv_mod_p(a: int, p: int) -> int:
     return pow(a, -1, p)
 
 
-def _sparse_rows(m, p=None) -> list:
-    """Each row of m as a dict {column: nonzero}, reduced mod p when p is
-    given; `compress` skips the zeros at C speed."""
+@dataclass(frozen=True)
+class SparseMatrix:
+    """A matrix as its rows, each a dict {column: nonzero} that stores no
+    zero, and its column count.  The count is explicit because the rows do
+    not fix it: a column of zeros, such as the one a kink cancels, appears
+    in no row."""
+    rows: list
+    ncols: int
+
+
+def as_sparse(m) -> SparseMatrix:
+    """m itself when it is a SparseMatrix; else the dense integer rows of m
+    as one, `compress` skipping the zeros at C speed."""
+    if isinstance(m, SparseMatrix):
+        return m
+    return SparseMatrix([dict(compress(enumerate(r), r)) for r in m],
+                        len(m[0]) if m else 0)
+
+
+def _reduced(rows, p=None) -> list:
+    """A new list of the sparse rows, reduced mod p when p is given: the
+    residues in [0, p), and no entry that p divides."""
     if p is None:
-        return [dict(compress(enumerate(r), r)) for r in m]
-    return [{j: x for j, v in compress(enumerate(r), r) if (x := v % p)}
-            for r in m]
+        return list(rows)
+    return [{j: x for j, v in r.items() if (x := v % p)} for r in rows]
 
 
-def _rcm_rows(m, p=None):
-    """The sparse rows of m with their columns renamed into reverse
-    Cuthill-McKee order, and that order: column order[k] is renamed k.
+def _rcm_rows(m: SparseMatrix, p=None):
+    """The rows of m, reduced mod p when p is given, with their columns
+    renamed into reverse Cuthill-McKee order, and that order: column
+    order[k] is renamed k.  It reads only the stored entries, so it costs
+    time in proportion to the nonzeros and the columns.
 
     The order is a breadth-first search over "shares a row with", each
     search started at the sparsest column not yet reached, neighbours taken
@@ -104,8 +128,8 @@ def _rcm_rows(m, p=None):
     the columns multiplies m on the right by a permutation matrix, which is
     unimodular, so the rank and the Smith form stay.
     """
-    rows = _sparse_rows(m, p)
-    ncols = len(m[0]) if m else 0
+    rows = _reduced(m.rows, p)
+    ncols = m.ncols
     rows_of = [[] for _ in range(ncols)]
     for i, r in enumerate(rows):
         for j in r:
@@ -140,7 +164,7 @@ def _rcm_rows(m, p=None):
 
 def _eliminate(m, p=None) -> dict:
     """`_eliminate_rows` on the rows of m, columns left to right."""
-    return _eliminate_rows(_sparse_rows(m, p), p)
+    return _eliminate_rows(_reduced(as_sparse(m).rows, p), p)
 
 
 def _eliminate_rows(rows, p=None, reduced=False) -> dict:
@@ -246,12 +270,13 @@ def _clear(r: dict, piv: dict, c: int, p) -> dict:
 def rank_mod_p(m, p: int) -> int:
     """Rank of m over the field Z_p, columns in `_rcm_rows` order."""
     _require_odd_prime(p)
-    return len(_eliminate_rows(_rcm_rows(m, p)[0], p))
+    return len(_eliminate_rows(_rcm_rows(as_sparse(m), p)[0], p))
 
 
 def ranks_appending(m, extra, p=None) -> list:
     """[rank of m] followed by the rank of m with each row of extra
-    appended, over Z_p, or over Q when p is None, from one elimination of m.
+    appended, over Z_p, or over Q when p is None, from one elimination of m;
+    extra is a matrix of m's width.
 
     m is eliminated as in `rank_mod_p` and `rank_int`; each extra row is
     renamed into the same column order and tested with `_outside_span`.
@@ -261,12 +286,12 @@ def ranks_appending(m, extra, p=None) -> list:
     """
     if p is not None:
         _require_odd_prime(p)
-    rows, order = _rcm_rows(m, p)
+    rows, order = _rcm_rows(as_sparse(m), p)
     pivots = _eliminate_rows(rows, p)
     new = dict(zip(order, range(len(order))))  # m column -> renamed column
     rank = len(pivots)
     return [rank] + [rank + _outside_span({new[j]: v for j, v in r.items()}, pivots, p)
-                     for r in _sparse_rows(extra, p)]
+                     for r in _reduced(as_sparse(extra).rows, p)]
 
 
 def nullspace_mod_p(m, p: int) -> list:
@@ -284,7 +309,7 @@ def nullspace_mod_p(m, p: int) -> list:
     with its columns reversed gives it, pivots last coordinate first.
     """
     _require_odd_prime(p)
-    rows, order = _rcm_rows(m, p)
+    rows, order = _rcm_rows(as_sparse(m), p)
     pivots = _eliminate_rows(rows, p)
     ncols = len(order)
     back = sorted(pivots, reverse=True)
@@ -323,7 +348,7 @@ def det_int(m) -> int:
 def rank_int(m) -> int:
     """Rank over the rationals, by Euclid row reduction over Z, columns in
     `_rcm_rows` order."""
-    return len(_eliminate_rows(_rcm_rows(m)[0]))
+    return len(_eliminate_rows(_rcm_rows(as_sparse(m))[0]))
 
 
 def smith_invariant_factors(m) -> list:
@@ -344,7 +369,8 @@ def smith_invariant_factors(m) -> list:
     i < j gives d1 | d2 | ...: at each prime it puts the lesser valuation
     first, so position i ends with the least among the positions >= i.
     """
-    n = min(len(m), len(m[0])) if m else 0
+    m = as_sparse(m)
+    n = min(len(m.rows), m.ncols)
     pivots = _eliminate_rows(_rcm_rows(m)[0])
     while any(len(r) > 1 for r in pivots.values()):
         columns = {}

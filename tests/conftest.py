@@ -10,7 +10,71 @@ import pytest
 
 from knotcol.certificates import STAR_MULTISETS
 from knotcol.coloring import DehnColoring, is_valid_coloring
-from knotcol.diagram import CATALOG, Diagram, PDError, catalog_diagram, components
+from knotcol.diagram import (
+    CATALOG,
+    Diagram,
+    PDError,
+    catalog_diagram,
+    checkerboard,
+    components,
+)
+
+
+def dense(m):
+    """The dense integer rows of a SparseMatrix, the one conversion the
+    tests make when an oracle needs indexed entries."""
+    return [[r.get(j, 0) for j in range(m.ncols)] for r in m.rows]
+
+
+def dense_coloring_matrix(d):
+    """The coloring matrix by its definition: row i is e_x1 - e_x2 + e_x3 -
+    e_x4 over the regions, for the regions (x1, x2, x3, x4) of crossing i."""
+    rows = []
+    for i in range(d.n):
+        x1, x2, x3, x4 = d.crossing_relation_regions(i)
+        row = [0] * len(d.regions)
+        row[x1] += 1
+        row[x3] += 1
+        row[x2] -= 1
+        row[x4] -= 1
+        rows.append(row)
+    return rows
+
+
+def dense_alexander_matrix(d):
+    """A_D(-1): the coloring matrix with the unit row e_0 below it."""
+    return dense_coloring_matrix(d) + [[1] + [0] * (len(d.regions) - 1)]
+
+
+def dense_fox_matrix(d):
+    """The Fox matrix by its definition: row i is e_u + e_u' - 2 e_w over the
+    arcs, for the under arcs u, u' and the over arc w of crossing i."""
+    arc = d.arc_of_semiarc
+    rows = []
+    for a, b, c, _ in d.pd.crossings:
+        row = [0] * len(d.arcs)
+        row[arc[a]] += 1
+        row[arc[c]] += 1
+        row[arc[b]] -= 2
+        rows.append(row)
+    return rows
+
+
+def dense_augmented_matrix(d, c):
+    """The full augmented matrix of a nontrivial coloring c: the coloring
+    matrix and, below it, e_i - e_j for the lex-first pair of regions i < j
+    of one color and opposite shades (variant B), or e_0 when there is none
+    (variant A)."""
+    shading = checkerboard(d).shading
+    nreg = len(d.regions)
+    extra = [0] * nreg
+    pair = next(((i, j) for i, j in combinations(range(nreg), 2)
+                 if c.values[i] == c.values[j] and shading[i] != shading[j]), None)
+    if pair is None:
+        extra[0] = 1
+    else:
+        extra[pair[0]], extra[pair[1]] = 1, -1
+    return dense_coloring_matrix(d) + [extra]
 
 
 def det_cofactor(rows):
@@ -229,6 +293,8 @@ def pretzel_pd(twists):
 
 def reference_validate_pd(pd):
     """PD validation as a dict count and a union-find over the strands."""
+    if not pd.crossings:
+        raise PDError("PD code has no crossings")
     counts = {}
     for q in pd.crossings:
         for a in q:

@@ -12,6 +12,7 @@ from conftest import (
     brute_dehn_colorings,
     brute_fox_count,
     brute_r_witness_exists,
+    dense,
     dividing_primes,
     gcd_of_minors,
     is_r_subgraph,
@@ -220,4 +221,4 @@ def test_criterion_10_structural_invariants():
             assert det == det_expected, name
             from knotcol.coloring import alexander_matrix_at_minus_one
             a = alexander_matrix_at_minus_one(d)
-            assert det == gcd_of_minors(a, d.n + 1), name
+            assert det == gcd_of_minors(dense(a), d.n + 1), name

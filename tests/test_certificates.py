@@ -2,7 +2,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import dividing_primes, random_star_matrix
+from conftest import dense, dividing_primes, random_star_matrix
 from knotcol import exactalg
 from knotcol.certificates import (
     STAR_MULTISETS,
@@ -44,9 +44,9 @@ def test_augmented_shapes(trefoil, fig8):
     c3 = nontrivial_colorings(trefoil, 3)[0]
     aug = augmented_matrix(trefoil, c3)
     full = aug.full()
-    assert (len(full), len(full[0])) == (4, 5)
+    assert (len(full.rows), full.ncols) == (4, 5)
     c5 = nontrivial_colorings(fig8, 5)[0]
-    assert len(augmented_matrix(fig8, c5).full()) == 5
+    assert len(augmented_matrix(fig8, c5).full().rows) == 5
 
 
 def test_augmented_rejects_trivial(trefoil):
@@ -82,7 +82,7 @@ def test_merge_row_arithmetic(catalog):
                 expected = [
                     [sum(e for e, v in zip(row, values) if v == color)
                      for color in sorted(set(values))]
-                    for row in aug.full()
+                    for row in dense(aug.full())
                 ]
                 assert merge_columns(aug) == expected
 

@@ -8,12 +8,17 @@ from conftest import (
     ODD_PRIMES,
     brute_dehn_colorings,
     brute_fox_count,
+    dense_alexander_matrix,
+    dense_augmented_matrix,
+    dense_coloring_matrix,
+    dense_fox_matrix,
     dividing_primes,
     pretzel_pd,
     seeded_pretzels,
     torus_pd,
 )
 from knotcol import coloring, exactalg
+from knotcol.certificates import VARIANT_A, VARIANT_B, augmented_matrix
 from knotcol.coloring import (
     NO_NONTRIVIAL,
     NONTRIVIAL,
@@ -32,6 +37,7 @@ from knotcol.coloring import (
     fox_colorings_count,
     fox_from_dehn,
     fox_is_valid,
+    fox_matrix,
     is_valid_coloring,
     knot_determinant,
     min_colors_diagram,
@@ -60,20 +66,19 @@ def fig8():
 
 def test_coloring_matrix_shape_and_row_sums(trefoil):
     m = coloring_matrix(trefoil)
-    assert (len(m), len(m[0])) == (3, 5)
-    for row in m:
-        assert sum(row) == 0
-        assert sorted(e for e in row if e) == [-1, -1, 1, 1]
+    assert (len(m.rows), m.ncols) == (3, 5)
+    for row in m.rows:
+        assert sorted(row.values()) == [-1, -1, 1, 1]
 
 
 def test_coloring_matrix_kink_merged_entries():
     d = build_diagram(parse_pd("X[1,2,2,1]"))
     m = coloring_matrix(d)
-    assert (len(m), len(m[0])) == (1, 3)
-    row = m[0]
-    assert sum(row) == 0
+    assert (len(m.rows), m.ncols) == (1, 3)
+    row = m.rows[0]
+    assert sum(row.values()) == 0 and 0 not in row.values()
     # two quadrants coincide, so entries merge
-    assert sorted(e for e in row if e) != [-1, -1, 1, 1]
+    assert sorted(row.values()) != [-1, -1, 1, 1]
 
 
 def test_colorings_counts(trefoil, fig8):
@@ -295,6 +300,39 @@ def test_p_to_1_correspondence(catalog):
         for p in (3, 5):
             assert colorings(d, p, budget=0).count == p * brute_fox_count(d, p)
             assert fox_colorings_count(d, p) == brute_fox_count(d, p)
+
+
+def _assert_sparse_of(m, rows, ncols):
+    # entry for entry: each stored entry is a nonzero of the dense rows, and
+    # every zero, a cancelled entry too, is absent rather than stored
+    assert m.ncols == ncols
+    assert m.rows == [{j: v for j, v in enumerate(r) if v} for r in rows]
+
+
+def test_sparse_builders_match_dense_definitions(catalog):
+    # X[1,2,2,1] is a kink: two of its quadrants are one region, whose
+    # entries +1 and -1 merge and cancel
+    kink = build_diagram(parse_pd("X[1,2,2,1]"))
+    assert dense_coloring_matrix(kink) == [[-1, 0, 1]]
+    diagrams = [*catalog.values(), kink]
+    diagrams += [build_diagram(parse_pd(torus_pd(n))) for n in (3, 9, 15, 51, 201)]
+    diagrams += [build_diagram(parse_pd(pretzel_pd(t))) for t in seeded_pretzels(21, 20)]
+    variants = set()
+    for d in diagrams:
+        nreg = len(d.regions)
+        _assert_sparse_of(coloring_matrix(d), dense_coloring_matrix(d), nreg)
+        _assert_sparse_of(alexander_matrix_at_minus_one(d), dense_alexander_matrix(d), nreg)
+        _assert_sparse_of(fox_matrix(d), dense_fox_matrix(d), len(d.arcs))
+        for p in dividing_primes(knot_determinant(d)):
+            # every coloring of a small diagram (6_2 and 6_3 give variant A),
+            # the basis of a larger one
+            space = colorings(d, p, budget=10 ** 4)
+            for c in space.enumerated if d.n < 8 else space.basis:
+                if classify(d, c).kind == NONTRIVIAL:
+                    aug = augmented_matrix(d, c)
+                    variants.add(aug.variant)
+                    _assert_sparse_of(aug.full(), dense_augmented_matrix(d, c), nreg)
+    assert variants == {VARIANT_A, VARIANT_B}
 
 
 def test_knot_determinants_catalog(catalog, monkeypatch):

@@ -200,6 +200,10 @@ def test_pd_errors_match_reference():
         with pytest.raises(PDError) as theirs:
             reference_build_diagram(reference_validate_pd(pd))
         assert str(ours.value) == str(theirs.value), text
+    # a code with no crossings is refused by name, not as a 0-component link
+    for validate in (validate_pd, reference_validate_pd):
+        with pytest.raises(PDError, match="^PD code has no crossings$"):
+            validate(PDCode(()))
     for pd in (PDCode(()), PDCode(((1, 2, 3),))):
         with pytest.raises(PDError) as ours:
             validate_pd(pd)

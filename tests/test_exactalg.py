@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import det_cofactor, gcd_of_minors, pretzel_pd, torus_pd
+from conftest import dense, det_cofactor, gcd_of_minors, pretzel_pd, torus_pd
 from knotcol import exactalg
 from knotcol.coloring import (
     alexander_matrix_at_minus_one,
     coloring_matrix,
     fox_colorings_count,
+    fox_matrix,
     knot_determinant,
 )
 from knotcol.diagram import build_diagram, parse_pd
@@ -18,6 +19,7 @@ from knotcol.exactalg import (
     InvalidModulusError,
     NotInvertibleError,
     PRIMALITY_LIMIT,
+    SparseMatrix,
     _require_odd_prime,
     det_int,
     inv_mod_p,
@@ -246,14 +248,15 @@ def test_nullspace_of_catalog_coloring_matrices(catalog):
         m = coloring_matrix(d)
         for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
             got = nullspace_mod_p(m, p)
-            assert got == _nullspace_gauss_jordan(m, len(m[0]), p), (name, p)
+            assert got == _nullspace_gauss_jordan(dense(m), m.ncols, p), (name, p)
 
 
 def _nullspace_left_to_right(m, p):
     """The reduced echelon basis read off one reduced elimination of m with
     its columns left to right: free columns are the non-pivot ones."""
-    ncols = len(m[0]) if m else 0
-    pivots = exactalg._eliminate_rows(exactalg._sparse_rows(m, p), p, reduced=True)
+    m = exactalg.as_sparse(m)
+    ncols = m.ncols
+    pivots = exactalg._eliminate_rows(exactalg._reduced(m.rows, p), p, reduced=True)
     basis = []
     for free in range(ncols):
         if free not in pivots:
@@ -318,7 +321,7 @@ def test_ranks_appending_match_ranks_of_stacked_rows(catalog):
     # doubled before it clears, and (2, 1) is half the row of m
     check([[4, 2]], [[2, 1], [3, 1], [0, 0]])
     for d in catalog.values():
-        m = coloring_matrix(d)
+        m = dense(coloring_matrix(d))
         nreg = len(m[0])
         extra = []
         for i, j in combinations(range(nreg), 2):
@@ -328,12 +331,69 @@ def test_ranks_appending_match_ranks_of_stacked_rows(catalog):
         check(m, [[1] + [0] * (nreg - 1)] + extra)
 
 
+def _sparse_form(rows, ncols, rng):
+    """The SparseMatrix of dense rows, built here rather than by
+    `as_sparse`, each row's entries stored in a shuffled order."""
+    out = []
+    for r in rows:
+        items = [(j, v) for j, v in enumerate(r) if v]
+        rng.shuffle(items)
+        out.append(dict(items))
+    return SparseMatrix(out, ncols)
+
+
+def test_dense_and_sparse_forms_agree(catalog):
+    # every public entry point gives one answer on the two forms, with zero
+    # rows, zero columns and entries that p divides
+    rng = random.Random(2110)
+    inputs = list(_random_matrices(seed=5, count=150))
+    inputs += list(_rank_deficient_matrices(seed=6, count=100))
+    inputs += [dense(coloring_matrix(d)) for d in catalog.values()]
+    inputs += [[[0, 0, 0]], [[0] * 4 for _ in range(3)], [[0, 3, 0, 6], [0, 0, 0, 0]]]
+    for rows in inputs:
+        nc = len(rows[0])
+        m = _sparse_form(rows, nc, rng)
+        extra = [[rng.choice((-3, -1, 0, 0, 1, 2)) for _ in range(nc)] for _ in range(3)]
+        extra_m = _sparse_form(extra, nc, rng)
+        assert rank_int(m) == rank_int(rows), rows
+        assert smith_invariant_factors(m) == smith_invariant_factors(rows), rows
+        assert exactalg.ranks_appending(m, extra_m) == exactalg.ranks_appending(rows, extra)
+        for p in (3, 5, 7):
+            assert rank_mod_p(m, p) == rank_mod_p(rows, p), (rows, p)
+            assert nullspace_mod_p(m, p) == nullspace_mod_p(rows, p), (rows, p)
+            assert exactalg.ranks_appending(m, extra_m, p) \
+                == exactalg.ranks_appending(rows, extra, p), (rows, extra, p)
+    # with no rows only the sparse form keeps its width
+    assert rank_int([]) == 0 and smith_invariant_factors([]) == []
+    for nc in (0, 1, 4):
+        m = SparseMatrix([], nc)
+        assert rank_int(m) == rank_mod_p(m, 3) == 0
+        assert smith_invariant_factors(m) == []
+        units = [tuple(int(i == j) for i in range(nc)) for j in range(nc)]
+        assert nullspace_mod_p(m, 5) == units
+        assert exactalg.ranks_appending(m, SparseMatrix([{}], nc), 3) == [0, 0]
+    assert nullspace_mod_p([], 5) == nullspace_mod_p(SparseMatrix([], 0), 5) == []
+
+
+def test_matrices_of_large_torus_knot_are_sparse():
+    # the builders store no zero and no column past the count: at most 4
+    # entries a coloring row, 3 a Fox row
+    d = build_diagram(parse_pd(torus_pd(801)))
+    for m, shape, most in ((coloring_matrix(d), (801, 803), 4),
+                           (alexander_matrix_at_minus_one(d), (802, 803), 4),
+                           (fox_matrix(d), (801, 801), 3)):
+        assert (len(m.rows), m.ncols) == shape
+        for r in m.rows:
+            assert 0 < len(r) <= most and 0 not in r.values()
+            assert all(0 <= j < m.ncols for j in r)
+
+
 def test_rcm_rows_renames_columns():
     # the order is a permutation, and column order[k] is renamed k with its
     # entries unchanged (reduced mod p when given)
     for rows in _random_matrices(seed=11, count=100):
         for p in (None, 5):
-            sparse, order = exactalg._rcm_rows(rows, p)
+            sparse, order = exactalg._rcm_rows(exactalg.as_sparse(rows), p)
             assert sorted(order) == list(range(len(rows[0])))
             for r, s in zip(rows, sparse):
                 renamed = [r[j] if p is None else r[j] % p for j in order]
