@@ -10,7 +10,6 @@ nonzero multiple of p bounded by 2^(colors-1).  Together these force
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from knotcol import exactalg
 from knotcol.coloring import (
@@ -132,35 +131,35 @@ def merge_columns(m: AugmentedMatrix) -> list:
 
 
 def extract_certificate(aug: AugmentedMatrix) -> Certificate:
+    """The lex-first nonsingular (ell-1)-minor of the merged matrix: its
+    columns are the first ell-1 pivot columns of one left-to-right
+    elimination over Z, its rows the pivot columns of the block's
+    transpose, since the first k greedy elements of a matroid are
+    componentwise at most any independent k-set (Gale, 1968)."""
     p = aug.coloring.p
     rows = merge_columns(aug)
     ell = len(rows[0])
     k = ell - 1
-    for cols in combinations(range(ell), k):
-        # combinations is lex order, and a matroid's lex-first basis is the
-        # greedy one: the rows outside the rational span of earlier rows,
-        # which are the pivot columns of the block's transpose reduced over Z,
-        # whatever pivots are used
-        rsel = tuple(sorted(exactalg._eliminate(
-            [[row[cc] for row in rows] for cc in cols])))
-        if len(rsel) < k:
-            continue
-        sub = [[rows[r][cc] for cc in cols] for r in rsel]
-        det = exactalg.det_int(sub)
-        violations = []
-        if det % p != 0:
-            violations.append(f"det {det} not divisible by p={p}")
-        if not (p <= abs(det) <= 2 ** k):
-            violations.append(
-                f"|det| = {abs(det)} outside [{p}, 2^{k} = {2 ** k}]"
-            )
-        star = tuple(check_star(sub))
-        if not all(star):
-            violations.append("a selected row violates the multiset condition")
-        return Certificate(ell, rsel, cols, det, star, tuple(violations))
-    raise CertificateError(
-        "certificate extraction failed: no nonsingular submatrix found"
-    )
+    cols = tuple(sorted(exactalg._eliminate(rows)))[:k]
+    if len(cols) < k:
+        raise CertificateError(
+            "certificate extraction failed: no nonsingular submatrix found"
+        )
+    rsel = tuple(sorted(exactalg._eliminate(
+        [[row[cc] for row in rows] for cc in cols])))
+    sub = [[rows[r][cc] for cc in cols] for r in rsel]
+    det = exactalg.det_int(sub)
+    violations = []
+    if det % p != 0:
+        violations.append(f"det {det} not divisible by p={p}")
+    if not (p <= abs(det) <= 2 ** k):
+        violations.append(
+            f"|det| = {abs(det)} outside [{p}, 2^{k} = {2 ** k}]"
+        )
+    star = tuple(check_star(sub))
+    if not all(star):
+        violations.append("a selected row violates the multiset condition")
+    return Certificate(ell, rsel, cols, det, star, tuple(violations))
 
 
 # admissible nonzero-entry multisets; rows drawn from these keep the

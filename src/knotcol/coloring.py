@@ -292,8 +292,7 @@ def knot_determinant(d: Diagram) -> int:
     A rank below n+1, as on the diagram of a split link, makes every
     maximal minor 0.
     """
-    rows = exactalg._rcm_rows(alexander_matrix_at_minus_one(d))[0]
-    pivots = exactalg._eliminate_rows(rows)
+    pivots = exactalg._echelon(alexander_matrix_at_minus_one(d))[0]
     if len(pivots) <= d.n:
         return 0
     return abs(prod(r[c] for c, r in pivots.items()))

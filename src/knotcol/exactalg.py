@@ -167,9 +167,18 @@ def _eliminate(m, p=None) -> dict:
     return _eliminate_rows(_reduced(as_sparse(m).rows, p), p)
 
 
+def _echelon(m, p=None):
+    """The pivots of `_eliminate_rows` on the rows of m in `_rcm_rows`
+    order, over Z_p when p is given, else over Z, and that order: the one
+    elimination behind the rank, nullspace, Smith and determinant paths."""
+    rows, order = _rcm_rows(as_sparse(m), p)
+    return _eliminate_rows(rows, p), order
+
+
 def _eliminate_rows(rows, p=None, reduced=False) -> dict:
     """Sparse row reduction over Z_p, or over Z when p is None, of a list
-    of rows {column: nonzero}, which it overwrites.
+    of rows {column: nonzero}; it replaces the list's entries but never
+    changes a row dict, so pivot rows it returns may be eliminated again.
 
     The columns go in increasing order of name, the next one taken from a
     heap of the pending rows' leading columns.  The pivot of column c is
@@ -183,9 +192,9 @@ def _eliminate_rows(rows, p=None, reduced=False) -> dict:
     Termination: a nonzero remainder is smaller than the pivot, so the
     least |entry| in column c strictly falls; over Z_p every remainder is 0.
     Invariance: each step adds an integer multiple of one row to another,
-    so rank, pivot columns and Smith form stay those of the rows; on a
-    transpose the pivot columns are the greedy row basis that
-    `extract_certificate` takes, whatever the pivots.
+    so rank, pivot columns and Smith form stay those of the rows.  The
+    pivot columns, whatever the pivots, are the greedy column basis: the
+    columns outside the span of the columns before them.
     """
     lead = {}  # leading column -> indices of the pending rows starting there
     for i, r in enumerate(rows):
@@ -224,33 +233,6 @@ def _eliminate_rows(rows, p=None, reduced=False) -> dict:
     return pivots
 
 
-def _outside_span(r: dict, pivots: dict, p=None) -> bool:
-    """Whether the row r {column: nonzero} lies outside the span over Z_p,
-    or over Q when p is None, of the pivot rows that `_eliminate_rows`
-    returns.
-
-    Each step clears r's leading column c with the pivot row of c, whose
-    other columns all come after c, so the leading column rises until r is
-    zero (inside) or leads at a column with no pivot (outside).  Over Z, r
-    is first multiplied by piv[c] / gcd(r[c], piv[c]) when piv[c] does not
-    divide r[c], so that c clears exactly; a nonzero multiple of r has the
-    same rational span, and the row's content is divided out again.
-    """
-    while r:
-        c = min(r)
-        piv = pivots.get(c)
-        if piv is None:
-            return True
-        if p is None and r[c] % piv[c]:
-            s = piv[c] // gcd(r[c], piv[c])
-            r = _clear({j: v * s for j, v in r.items()}, piv, c, p)
-            g = gcd(*r.values())
-            r = {j: v // g for j, v in r.items()}
-        else:
-            r = _clear(r, piv, c, p)
-    return False
-
-
 def _clear(r: dict, piv: dict, c: int, p) -> dict:
     """r - (r[c] // piv[c]) * piv, reduced mod p over Z_p: what is left in
     column c is smaller than piv[c] in absolute value, 0 over Z_p."""
@@ -270,7 +252,7 @@ def _clear(r: dict, piv: dict, c: int, p) -> dict:
 def rank_mod_p(m, p: int) -> int:
     """Rank of m over the field Z_p, columns in `_rcm_rows` order."""
     _require_odd_prime(p)
-    return len(_eliminate_rows(_rcm_rows(as_sparse(m), p)[0], p))
+    return len(_echelon(m, p)[0])
 
 
 def ranks_appending(m, extra, p=None) -> list:
@@ -278,20 +260,20 @@ def ranks_appending(m, extra, p=None) -> list:
     appended, over Z_p, or over Q when p is None, from one elimination of m;
     extra is a matrix of m's width.
 
-    m is eliminated as in `rank_mod_p` and `rank_int`; each extra row is
-    renamed into the same column order and tested with `_outside_span`.
-    The pivot rows span m's row space over Z_p, and over Z their row
-    lattice is m's, so appending a row adds 1 to the rank exactly when it
-    lies outside their span.
+    m is eliminated as in `rank_mod_p` and `rank_int`.  Its pivot rows span
+    its row space over Z_p, and over Z their row lattice is m's, so each
+    extra row, renamed into the same column order, is eliminated with the
+    pivot rows alone: appending a row adds 1 to the rank exactly when the
+    core finds one more pivot.
     """
     if p is not None:
         _require_odd_prime(p)
-    rows, order = _rcm_rows(as_sparse(m), p)
-    pivots = _eliminate_rows(rows, p)
+    pivots, order = _echelon(m, p)
     new = dict(zip(order, range(len(order))))  # m column -> renamed column
-    rank = len(pivots)
-    return [rank] + [rank + _outside_span({new[j]: v for j, v in r.items()}, pivots, p)
-                     for r in _reduced(as_sparse(extra).rows, p)]
+    basis = list(pivots.values())
+    return [len(basis)] + [
+        len(_eliminate_rows(basis + [{new[j]: v for j, v in r.items()}], p))
+        for r in _reduced(as_sparse(extra).rows, p)]
 
 
 def nullspace_mod_p(m, p: int) -> list:
@@ -309,8 +291,7 @@ def nullspace_mod_p(m, p: int) -> list:
     with its columns reversed gives it, pivots last coordinate first.
     """
     _require_odd_prime(p)
-    rows, order = _rcm_rows(as_sparse(m), p)
-    pivots = _eliminate_rows(rows, p)
+    pivots, order = _echelon(m, p)
     ncols = len(order)
     back = sorted(pivots, reverse=True)
     reverse = [ncols - 1 - j for j in order]  # renamed k -> reversed m column
@@ -348,7 +329,7 @@ def det_int(m) -> int:
 def rank_int(m) -> int:
     """Rank over the rationals, by Euclid row reduction over Z, columns in
     `_rcm_rows` order."""
-    return len(_eliminate_rows(_rcm_rows(as_sparse(m))[0]))
+    return len(_echelon(m)[0])
 
 
 def smith_invariant_factors(m) -> list:
@@ -371,7 +352,7 @@ def smith_invariant_factors(m) -> list:
     """
     m = as_sparse(m)
     n = min(len(m.rows), m.ncols)
-    pivots = _eliminate_rows(_rcm_rows(m)[0])
+    pivots = _echelon(m)[0]
     while any(len(r) > 1 for r in pivots.values()):
         columns = {}
         for i, r in enumerate(pivots.values()):

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -6,6 +7,8 @@ from conftest import dense, dividing_primes, random_star_matrix
 from knotcol import exactalg
 from knotcol.certificates import (
     STAR_MULTISETS,
+    AugmentedMatrix,
+    CertificateError,
     TrivialColoringError,
     VARIANT_A,
     VARIANT_B,
@@ -23,6 +26,7 @@ from knotcol.coloring import (
     knot_determinant,
 )
 from knotcol.diagram import catalog_diagram
+from knotcol.exactalg import SparseMatrix
 
 
 def nontrivial_colorings(d, p):
@@ -156,7 +160,12 @@ def scan_certificate(rows):
 
 
 def test_certificate_matches_exhaustive_scan(catalog):
+    # moved counts the cases where the columns 0, ..., ell-2 are dependent
+    # and the scan moves on, by variant and by the place in lex order of
+    # the column set it takes (0 is the first); the greedy columns must
+    # follow it there too
     seen = 0
+    moved = Counter()
     for d in catalog.values():
         for p in dividing_primes(knot_determinant(d)):
             for c in nontrivial_colorings(d, p):
@@ -165,7 +174,22 @@ def test_certificate_matches_exhaustive_scan(catalog):
                 expected = scan_certificate(merge_columns(aug))
                 assert (cert.row_indices, cert.col_indices, cert.det_value) == expected
                 seen += 1
+                cols = expected[1]
+                if cols != tuple(range(len(cols))):
+                    missing, = set(range(len(cols) + 1)) - set(cols)
+                    moved[aug.variant, len(cols) - missing] += 1
     assert seen == 4180
+    assert moved == {(VARIANT_A, 1): 120, (VARIANT_A, 2): 117}
+
+
+def test_certificate_error_below_full_rank():
+    # a base with no rows leaves only the unit row: the merged matrix has
+    # rank 1, below ell - 1 = 2, so no nonsingular 2-minor exists
+    aug = AugmentedMatrix(VARIANT_A, SparseMatrix([], 3), {0: 1}, (0,),
+                          DehnColoring(3, (0, 1, 2)))
+    assert merge_columns(aug) == [[1, 0, 0]]
+    with pytest.raises(CertificateError, match="no nonsingular submatrix"):
+        extract_certificate(aug)
 
 
 def test_certificate_forced_values(trefoil, fig8):

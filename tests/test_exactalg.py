@@ -304,22 +304,28 @@ def test_nullspace_matches_left_to_right_reference(catalog):
 
 
 def test_ranks_appending_match_ranks_of_stacked_rows(catalog):
-    # the extra rows are reduced against the pivot rows of m alone; the
-    # ranks must be those of m with each row stacked under it
+    # each extra row is eliminated with the pivot rows of m alone, which
+    # serve every extra row in turn; the ranks must be those of m with each
+    # row stacked under it, whichever order the extra rows come in
     def check(m, extra):
-        assert exactalg.ranks_appending(m, extra) \
-            == [rank_int(m)] + [rank_int(m + [r]) for r in extra], (m, extra)
-        for p in (3, 5, 7):
-            assert exactalg.ranks_appending(m, extra, p) \
-                == [rank_mod_p(m, p)] + [rank_mod_p(m + [r], p) for r in extra], (m, extra, p)
+        for extra in (extra, extra[::-1]):
+            assert exactalg.ranks_appending(m, extra) \
+                == [rank_int(m)] + [rank_int(m + [r]) for r in extra], (m, extra)
+            for p in (3, 5, 7):
+                assert exactalg.ranks_appending(m, extra, p) \
+                    == [rank_mod_p(m, p)] + [rank_mod_p(m + [r], p) for r in extra], \
+                    (m, extra, p)
 
     rng = random.Random(41)
     for rows in list(_random_matrices()) + list(_rank_deficient_matrices()):
         k = rng.randint(1, len(rows))
         check(rows[:k], rows[k:] + [[rng.randint(-3, 3) for _ in rows[0]]])
-    # over Z the pivot 2 does not divide the 1 of (2, 1) or (3, 1): each is
-    # doubled before it clears, and (2, 1) is half the row of m
-    check([[4, 2]], [[2, 1], [3, 1], [0, 0]])
+    # over Z, (2, 1) has a smaller |entry| than m = [[4, 2]] in each column,
+    # so it takes over the pivot and clears m's row to zero: half that row,
+    # it leaves the rank 1, and the rows after it still meet (4, 2)
+    m = [[4, 2]]
+    check(m, [[2, 1], [3, 1], [0, 0], [4, 2], [-2, -1]])
+    assert m == [[4, 2]]
     for d in catalog.values():
         m = dense(coloring_matrix(d))
         nreg = len(m[0])
