@@ -59,7 +59,7 @@ class Certificate:
 def augmented_matrix(d: Diagram, c: DehnColoring) -> AugmentedMatrix:
     """M with the extra row of variant A or B for c, the one matrix that
     `rank_checks` and `extract_certificate` read; c must be nontrivial."""
-    if classify(d, c).kind != NONTRIVIAL:
+    if classify(d, c) != NONTRIVIAL:
         raise TrivialColoringError("certificate requires nontrivial coloring")
     p = c.p
     shading = checkerboard_coloring(d, p).values

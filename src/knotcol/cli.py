@@ -22,7 +22,6 @@ import sys
 
 from knotcol import certificates, colorsets, palette
 from knotcol.coloring import (
-    NO_NONTRIVIAL,
     NONTRIVIAL,
     classify,
     colorings,
@@ -66,7 +65,7 @@ def cmd_mincol(args):
     res = min_colors_diagram(_get_diagram(args), args.p)
     doc = {"p": args.p, "lower_bound": res.lower_bound, "min_colors": None}
     lines = [f"p = {args.p}", f"lower bound = {res.lower_bound}"]
-    if res.min_colors == NO_NONTRIVIAL:
+    if res.min_colors is None:
         lines.append("no nontrivial coloring")
     else:
         doc.update(min_colors=res.min_colors, witness=list(res.witness.values))
@@ -127,7 +126,7 @@ def _first_nontrivial(d, space):
     outside that subspace is the last basis vector outside it.
     """
     for c in reversed(space.basis):
-        if classify(d, c).kind == NONTRIVIAL:
+        if classify(d, c) == NONTRIVIAL:
             return c
     return None
 
@@ -175,7 +174,7 @@ def cmd_fox(args):
              f"p-to-1 relation: {'ok' if relation_ok else 'FAIL'}"]
     if c is not None:
         doc["example_dehn"] = list(c.values)
-        doc["example_fox"] = list(fox_from_dehn(d, c).values)
+        doc["example_fox"] = list(fox_from_dehn(d, c))
         lines += [f"example Dehn coloring: {doc['example_dehn']}",
                   f"  maps to Fox coloring: {doc['example_fox']}"]
     return (EXIT_OK if relation_ok else EXIT_FAILURE), doc, lines

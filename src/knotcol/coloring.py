@@ -36,18 +36,6 @@ class DehnColoring:
         return frozenset(self.values)
 
 
-@dataclass(frozen=True)
-class ColoringClass:
-    kind: str
-    colors_used: frozenset
-
-
-@dataclass(frozen=True)
-class FoxColoring:
-    p: int
-    values: tuple  # arc index -> residue
-
-
 def _sparse_row(*terms) -> dict:
     """The sum of the terms (column, coefficient) as a row {column:
     nonzero}: terms in one column merge, and a column that cancels is not
@@ -63,27 +51,27 @@ def coloring_matrix(d: Diagram) -> SparseMatrix:
     and one column per region: n x (n+2), at most 4 nonzeros a row.  At a
     kink two quadrants are one region, and their entries merge or cancel."""
     rows = []
-    for q01, q12, q23, q30 in d.quadrants:  # x1, x2, x3, x4 = q01, q30, q12, q23
-        if len({q01, q12, q23, q30}) == 4:
-            rows.append({q01: 1, q12: 1, q30: -1, q23: -1})
+    for x1, x2, x3, x4 in d.relations:
+        if len({x1, x2, x3, x4}) == 4:
+            rows.append({x1: 1, x3: 1, x2: -1, x4: -1})
         else:
-            rows.append(_sparse_row((q01, 1), (q12, 1), (q30, -1), (q23, -1)))
+            rows.append(_sparse_row((x1, 1), (x3, 1), (x2, -1), (x4, -1)))
     return SparseMatrix(rows, len(d.regions))
 
 
 def is_valid_coloring(d: Diagram, c: DehnColoring) -> bool:
-    if len(c.values) != len(d.regions):
+    v = c.values
+    if len(v) != len(d.regions):
         return False
-    for i in range(d.n):
-        x1, x2, x3, x4 = d.crossing_relation_regions(i)
-        if (c.values[x1] + c.values[x3] - c.values[x2] - c.values[x4]) % c.p:
+    for x1, x2, x3, x4 in d.relations:
+        if (v[x1] + v[x3] - v[x2] - v[x4]) % c.p:
             return False
     return True
 
 
 def checkerboard_coloring(d: Diagram, p: int) -> DehnColoring:
     """The 2-trivial coloring with image {0, 1} and region 0 colored 0."""
-    return DehnColoring(p, checkerboard(d).shading)
+    return DehnColoring(p, checkerboard(d))
 
 
 @dataclass(frozen=True)
@@ -132,20 +120,15 @@ def _span(basis, p, width):
         cur = [(x + y) % p for x, y in zip(cur, carry[j])]
 
 
-def classify(d: Diagram, c: DehnColoring) -> ColoringClass:
+def classify(d: Diagram, c: DehnColoring) -> str:
+    """ONE_TRIVIAL, TWO_TRIVIAL or NONTRIVIAL; a coloring is trivial when
+    x1 = x4 and x2 = x3 at every crossing."""
     if not is_valid_coloring(d, c):
         raise NotAColoringError("not a coloring: a crossing relation fails")
-    colors = c.colors_used()
-    all_trivial = True
-    for i in range(d.n):
-        x1, x2, x3, x4 = d.crossing_relation_regions(i)
-        if not (c.values[x1] == c.values[x4] and c.values[x2] == c.values[x3]):
-            all_trivial = False
-            break
-    if all_trivial:
-        return ColoringClass(ONE_TRIVIAL if len(colors) == 1 else TWO_TRIVIAL,
-                             colors)
-    return ColoringClass(NONTRIVIAL, colors)
+    v = c.values
+    if any(v[x1] != v[x4] or v[x2] != v[x3] for x1, x2, x3, x4 in d.relations):
+        return NONTRIVIAL
+    return ONE_TRIVIAL if len(c.colors_used()) == 1 else TWO_TRIVIAL
 
 
 def affine_transform(c: DehnColoring, s: int, t: int) -> DehnColoring:
@@ -155,8 +138,6 @@ def affine_transform(c: DehnColoring, s: int, t: int) -> DehnColoring:
     return DehnColoring(c.p, tuple((s * v + t) % c.p for v in c.values))
 
 
-NO_NONTRIVIAL = "no nontrivial coloring"
-
 # most work `min_colors_diagram` takes on, counted as representatives times
 # regions, since each representative costs time in proportion to its length:
 # 10^6 representatives of 47 regions took 13 s
@@ -165,7 +146,7 @@ MINCOL_SCAN_LIMIT = 47 * 10 ** 6
 
 @dataclass(frozen=True)
 class MinColorsResult:
-    min_colors: object  # int, or NO_NONTRIVIAL
+    min_colors: int | None  # None when no coloring is nontrivial
     witness: DehnColoring | None
     lower_bound: int
 
@@ -190,8 +171,8 @@ def min_colors_diagram(d: Diagram, p: int) -> MinColorsResult:
     entry of w is optimal and no larger, so that entry is 1.
 
     The shading is the one trivial representative.  A coloring is trivial
-    when opposite quadrants, which share a shade, agree at every crossing
-    (x1 = x4, x2 = x3).  The Tait graph of a connected diagram is connected,
+    when x1 = x4 and x2 = x3 at every crossing, and the regions of each of
+    these pairs share a shade.  The Tait graph of a connected diagram is connected,
     so a trivial coloring is t + s * shading, and as a representative it
     has t = 0 (region 0 is unshaded) and s = 1.  Refuses, with ValueError,
     a scan whose representatives times regions exceed MINCOL_SCAN_LIMIT.
@@ -203,12 +184,12 @@ def min_colors_diagram(d: Diagram, p: int) -> MinColorsResult:
         raise ValueError(f"mincol scan too large: {size} affine classes of "
                          f"{nreg} regions at p = {p}, {size * nreg} over the "
                          f"limit {MINCOL_SCAN_LIMIT}")
-    shading = checkerboard(d).shading
+    shading = checkerboard(d)
     reps = _affine_representatives(space, p, nreg)
     best = min(((len(set(v)), v) for v in reps if v != shading), default=None)
     bound = theorem_lower_bound(p)
     if best is None:
-        return MinColorsResult(NO_NONTRIVIAL, None, bound)
+        return MinColorsResult(None, None, bound)
     return MinColorsResult(best[0], DehnColoring(p, best[1]), bound)
 
 
@@ -230,9 +211,9 @@ def _affine_representatives(space: ColoringSpace, p: int, nreg: int):
             yield tuple((x + y) % p for x, y in zip(head, tail))
 
 
-def fox_from_dehn(d: Diagram, c: DehnColoring) -> FoxColoring:
-    """Arc coloring: each arc gets the sum of the region colors across any
-    of its semiarcs."""
+def fox_from_dehn(d: Diagram, c: DehnColoring) -> tuple:
+    """Arc coloring, arc index -> residue: each arc gets the sum of the
+    region colors across any of its semiarcs."""
     if not is_valid_coloring(d, c):
         raise NotAColoringError("not a coloring")
     values = []
@@ -243,17 +224,7 @@ def fox_from_dehn(d: Diagram, c: DehnColoring) -> FoxColoring:
             sums.add((c.values[r1] + c.values[r2]) % c.p)
         assert len(sums) == 1, "arc color is not constant along the arc"
         values.append(sums.pop())
-    return FoxColoring(c.p, tuple(values))
-
-
-def fox_is_valid(d: Diagram, f: FoxColoring) -> bool:
-    for a, b, cc, dd in d.pd.crossings:
-        u = d.arc_of_semiarc[a]
-        u2 = d.arc_of_semiarc[cc]
-        w = d.arc_of_semiarc[b]
-        if (f.values[u] + f.values[u2] - 2 * f.values[w]) % f.p:
-            return False
-    return True
+    return tuple(values)
 
 
 def fox_matrix(d: Diagram) -> SparseMatrix:

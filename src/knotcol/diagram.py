@@ -4,7 +4,7 @@ A PD code lists one quadruple of semiarc labels per crossing, given
 counterclockwise starting at the incoming under-strand; positions 0 and 2
 carry the under-strand, positions 1 and 3 the over-strand.  From the code
 we recover regions (faces of the 4-valent plane graph), over-arcs, the
-quadrant incidence at each crossing, and the checkerboard shading.
+regions of each crossing relation, and the checkerboard shading.
 
 A dart is one of the two slot occurrences of a semiarc, written
 (crossing index, position), and numbered 4 * crossing + position inside
@@ -158,7 +158,7 @@ class Diagram:
     regions: tuple       # each region: tuple of darts (crossing, position)
     arcs: tuple          # each arc: frozenset of semiarc labels
     arc_of_semiarc: dict  # semiarc label -> arc index
-    quadrants: tuple     # per crossing: (q01, q12, q23, q30) region indices
+    relations: tuple     # per crossing: regions (x1, x2, x3, x4), x1+x3 = x2+x4
     regions_of_semiarc: dict  # semiarc label -> regions of its two darts, in dart order
 
     @property
@@ -166,17 +166,9 @@ class Diagram:
         return self.pd.n
 
     def semiarc_regions(self, semiarc: int):
-        """The two region indices on either side of a semiarc."""
-        return self.regions_of_semiarc.get(semiarc, ())
-
-    def crossing_relation_regions(self, i: int):
-        """Regions (x1, x2, x3, x4) at crossing i with x1+x3 = x2+x4.
-
-        q30 and q01 flank the incoming under semiarc; q01/q12 lie on one
-        side of the under-strand and q23/q30 on the other.
-        """
-        q01, q12, q23, q30 = self.quadrants[i]
-        return (q01, q30, q12, q23)
+        """The two region indices on either side of a semiarc; KeyError
+        for a label that is not in the code."""
+        return self.regions_of_semiarc[semiarc]
 
 
 def build_diagram(pd: PDCode) -> Diagram:
@@ -208,24 +200,24 @@ def build_diagram(pd: PDCode) -> Diagram:
     arcs = tuple(frozenset(g) for _, g in groupby(
         sorted(root, key=arc_of_semiarc.__getitem__), arc_of_semiarc.__getitem__))
 
-    # the face orbit reaching dart (c, p+1) turns through the corner
-    # between positions p and p+1, so that corner lies in its face
-    quadrants = tuple(zip(region[1::4], region[2::4], region[3::4], region[0::4]))
+    # the face orbit reaching dart (c, p+1) turns through the corner between
+    # positions p and p+1, so that corner lies in its face: the corners q01,
+    # q12, q23 and q30 of crossing c are the regions of darts 4c + 1, 4c + 2,
+    # 4c + 3 and 4c.  q30 and q01 flank the incoming under semiarc; q01/q12
+    # lie on one side of the under-strand and q23/q30 on the other.  The
+    # relation regions (x1, x2, x3, x4) of crossing c are (q01, q30, q12, q23)
+    relations = tuple(zip(region[1::4], region[0::4], region[2::4], region[3::4]))
     firsts = first.values()
     regions_of_semiarc = dict(zip(first, zip(
         map(region.__getitem__, firsts),
         map(region.__getitem__, map(other.__getitem__, firsts)))))
-    return Diagram(pd, regions, arcs, arc_of_semiarc, quadrants,
+    return Diagram(pd, regions, arcs, arc_of_semiarc, relations,
                    regions_of_semiarc)
 
 
-@dataclass(frozen=True)
-class Checkerboard:
-    shading: tuple  # region index -> 0 or 1
-
-
-def checkerboard(d: Diagram) -> Checkerboard:
-    """Proper 2-shading of the regions, with region 0 shaded 0."""
+def checkerboard(d: Diagram) -> tuple:
+    """Proper 2-shading of the regions, region index -> 0 or 1, with
+    region 0 shaded 0."""
     shade = [None] * len(d.regions)
     shade[0] = 0
     queue = [0]
@@ -243,11 +235,13 @@ def checkerboard(d: Diagram) -> Checkerboard:
                 raise PDError("diagram not checkerboard-colorable; corrupt input")
     if any(s is None for s in shade):
         raise PDError("disconnected region adjacency; corrupt input")
-    return Checkerboard(tuple(shade))
+    return tuple(shade)
 
 
-# Small-knot PD codes from standard tables.  Each entry is validated at
-# import by region count and by its classical determinant (see tests).
+# Small-knot PD codes from standard tables.  The tests check each entry:
+# test_catalog_regions_and_names its region count, and
+# test_catalog_determinants with test_knot_determinants_catalog its
+# classical determinant.
 CATALOG = {
     "3_1": "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]",
     "4_1": "X[4,2,5,1] X[8,6,1,5] X[6,3,7,4] X[2,7,3,8]",

@@ -100,11 +100,11 @@ def palette_graph_of_diagram(d: Diagram, c: DehnColoring) -> PaletteGraph:
     fox = fox_from_dehn(d, c)
     pairs = []
     for a, _, cc, _ in d.pd.crossings:
-        b1 = fox.values[d.arc_of_semiarc[a]]
-        b2 = fox.values[d.arc_of_semiarc[cc]]
+        b1 = fox[d.arc_of_semiarc[a]]
+        b2 = fox[d.arc_of_semiarc[cc]]
         if b1 != b2:
             pairs.append((min(b1, b2), max(b1, b2)))
-    return PaletteGraph(c.p, frozenset(fox.values), pairs)
+    return PaletteGraph(c.p, frozenset(fox), pairs)
 
 
 def to_dot(g: PaletteGraph) -> str:

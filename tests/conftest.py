@@ -30,8 +30,7 @@ def dense_coloring_matrix(d):
     """The coloring matrix by its definition: row i is e_x1 - e_x2 + e_x3 -
     e_x4 over the regions, for the regions (x1, x2, x3, x4) of crossing i."""
     rows = []
-    for i in range(d.n):
-        x1, x2, x3, x4 = d.crossing_relation_regions(i)
+    for x1, x2, x3, x4 in d.relations:
         row = [0] * len(d.regions)
         row[x1] += 1
         row[x3] += 1
@@ -65,7 +64,7 @@ def dense_augmented_matrix(d, c):
     matrix and, below it, e_i - e_j for the lex-first pair of regions i < j
     of one color and opposite shades (variant B), or e_0 when there is none
     (variant A)."""
-    shading = checkerboard(d).shading
+    shading = checkerboard(d)
     nreg = len(d.regions)
     extra = [0] * nreg
     pair = next(((i, j) for i, j in combinations(range(nreg), 2)
@@ -393,7 +392,10 @@ def reference_build_diagram(pd):
         label: tuple(region_of_dart[d] for d in darts)
         for label, darts in occurrences.items()
     }
-    return Diagram(pd, tuple(faces), arcs, arc_of_semiarc, tuple(quadrants),
+    # relation regions (x1, x2, x3, x4) = (q01, q30, q12, q23) of the
+    # quadrants (q01, q12, q23, q30)
+    relations = tuple((q01, q30, q12, q23) for q01, q12, q23, q30 in quadrants)
+    return Diagram(pd, tuple(faces), arcs, arc_of_semiarc, relations,
                    regions_of_semiarc)
 
 

@@ -178,7 +178,7 @@ def test_first_nontrivial_is_first_enumerated(catalog, name):
     d = catalog[name]
     for p in ODD_PRIMES:
         expected = next((c for c in colorings(d, p).enumerated
-                         if classify(d, c).kind == NONTRIVIAL), None)
+                         if classify(d, c) == NONTRIVIAL), None)
         assert _first_nontrivial(d, colorings(d, p, budget=0)) == expected, p
 
 

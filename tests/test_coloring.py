@@ -20,7 +20,6 @@ from conftest import (
 from knotcol import coloring, exactalg
 from knotcol.certificates import VARIANT_A, VARIANT_B, augmented_matrix
 from knotcol.coloring import (
-    NO_NONTRIVIAL,
     NONTRIVIAL,
     ONE_TRIVIAL,
     TWO_TRIVIAL,
@@ -36,7 +35,6 @@ from knotcol.coloring import (
     colorings,
     fox_colorings_count,
     fox_from_dehn,
-    fox_is_valid,
     fox_matrix,
     is_valid_coloring,
     knot_determinant,
@@ -106,14 +104,13 @@ def test_trivial_vectors_always_solutions(catalog):
 
 def test_classify(trefoil):
     const = DehnColoring(3, (0,) * 5)
-    assert classify(trefoil, const).kind == ONE_TRIVIAL
+    assert classify(trefoil, const) == ONE_TRIVIAL
     cb = checkerboard_coloring(trefoil, 3)
-    cls = classify(trefoil, cb)
-    assert cls.kind == TWO_TRIVIAL
-    assert cls.colors_used == frozenset({0, 1})
+    assert classify(trefoil, cb) == TWO_TRIVIAL
+    assert cb.colors_used() == frozenset({0, 1})
     nontriv = next(c for c in colorings(trefoil, 3).enumerated
                    if len(c.colors_used()) >= 3)
-    assert classify(trefoil, nontriv).kind == NONTRIVIAL
+    assert classify(trefoil, nontriv) == NONTRIVIAL
 
 
 def test_classify_rejects_noncoloring(trefoil):
@@ -123,8 +120,8 @@ def test_classify_rejects_noncoloring(trefoil):
 
 def test_dehn_coloring_requires_residues(trefoil):
     c = DehnColoring(3, (2, 2, 0, 0, 1))
-    assert classify(trefoil, c).kind == NONTRIVIAL
-    assert classify(trefoil, c).colors_used == frozenset({0, 1, 2})
+    assert classify(trefoil, c) == NONTRIVIAL
+    assert c.colors_used() == frozenset({0, 1, 2})
     # 3 added to every other region still satisfies each relation mod 3,
     # but would count 5 colors
     with pytest.raises(ValueError, match="residues mod 3"):
@@ -135,11 +132,11 @@ def test_dehn_coloring_requires_residues(trefoil):
 
 def test_affine_transform(trefoil):
     nontriv = next(c for c in colorings(trefoil, 3).enumerated
-                   if classify(trefoil, c).kind == NONTRIVIAL)
+                   if classify(trefoil, c) == NONTRIVIAL)
     assert affine_transform(nontriv, 1, 0) == nontriv
     moved = affine_transform(nontriv, 2, 1)
     assert is_valid_coloring(trefoil, moved)
-    assert classify(trefoil, moved).kind == NONTRIVIAL
+    assert classify(trefoil, moved) == NONTRIVIAL
     assert len(moved.colors_used()) == len(nontriv.colors_used())
     assert moved.colors_used() == frozenset((2 * v + 1) % 3
                                             for v in nontriv.colors_used())
@@ -150,27 +147,27 @@ def test_affine_transform(trefoil):
 def test_min_colors(trefoil, fig8):
     assert min_colors_diagram(trefoil, 3).min_colors == 3
     assert min_colors_diagram(fig8, 5).min_colors == 4
-    assert min_colors_diagram(trefoil, 5).min_colors == NO_NONTRIVIAL
+    assert min_colors_diagram(trefoil, 5).min_colors is None
 
 
 def test_min_colors_witness_is_optimal_coloring(trefoil):
     res = min_colors_diagram(trefoil, 3)
     assert is_valid_coloring(trefoil, res.witness)
-    assert classify(trefoil, res.witness).kind == NONTRIVIAL
+    assert classify(trefoil, res.witness) == NONTRIVIAL
     assert len(res.witness.colors_used()) == res.min_colors
 
 
 def _least_nontrivial(d, p):
     """(#colors, values), least over every nontrivial coloring, or None."""
     return min(((len(set(c.values)), c.values) for c in colorings(d, p).enumerated
-                if classify(d, c).kind == NONTRIVIAL), default=None)
+                if classify(d, c) == NONTRIVIAL), default=None)
 
 
 def _assert_min_colors_is_least_nontrivial(d, p):
     res = min_colors_diagram(d, p)
     expected = _least_nontrivial(d, p)
     if expected is None:
-        assert (res.min_colors, res.witness) == (NO_NONTRIVIAL, None), p
+        assert (res.min_colors, res.witness) == (None, None), p
     else:
         assert (res.min_colors, res.witness.values) == expected, p
 
@@ -196,16 +193,16 @@ def test_min_colors_matches_full_enumeration_dimension_six():
 def _trivial_representatives(d, p):
     space = colorings(d, p, budget=0)
     return [v for v in _affine_representatives(space, p, len(d.regions))
-            if classify(d, DehnColoring(p, v)).kind != NONTRIVIAL]
+            if classify(d, DehnColoring(p, v)) != NONTRIVIAL]
 
 
 def test_shading_is_the_one_trivial_representative(catalog):
     # the lemma min_colors_diagram rests on, checked with classify
     for d in catalog.values():
         for p in ODD_PRIMES:
-            assert _trivial_representatives(d, p) == [checkerboard(d).shading], p
+            assert _trivial_representatives(d, p) == [checkerboard(d)], p
     d = build_diagram(parse_pd(pretzel_pd((15, 15, 15))))
-    assert _trivial_representatives(d, 5) == [checkerboard(d).shading]
+    assert _trivial_representatives(d, 5) == [checkerboard(d)]
 
 
 def test_affine_representatives_at_dimension_two(catalog):
@@ -213,7 +210,7 @@ def test_affine_representatives_at_dimension_two(catalog):
     space = colorings(d, 5, budget=0)
     assert space.dimension == 2
     assert list(_affine_representatives(space, 5, len(d.regions))) \
-        == [checkerboard(d).shading]
+        == [checkerboard(d)]
 
 
 def test_min_colors_scan_limit(monkeypatch):
@@ -269,7 +266,7 @@ def test_min_colors_lower_bound(catalog):
         det = knot_determinant(d)
         for p in dividing_primes(det):
             res = min_colors_diagram(d, p)
-            assert res.min_colors != NO_NONTRIVIAL
+            assert res.min_colors is not None
             assert res.min_colors >= theorem_lower_bound(p)
 
 
@@ -281,16 +278,28 @@ def test_colorability_iff_det_divisible(catalog):
             assert (dim >= 3) == (det % p == 0)
 
 
-def test_fox_from_dehn(trefoil):
+def test_fox_from_dehn(trefoil, catalog):
     t = DehnColoring(5, (2,) * 5)
-    assert fox_from_dehn(trefoil, t).values == (4, 4, 4)
+    assert fox_from_dehn(trefoil, t) == (4, 4, 4)
     cb = checkerboard_coloring(trefoil, 5)
-    assert fox_from_dehn(trefoil, cb).values == (1, 1, 1)
+    assert fox_from_dehn(trefoil, cb) == (1, 1, 1)
     nontriv = next(c for c in colorings(trefoil, 3).enumerated
-                   if classify(trefoil, c).kind == NONTRIVIAL)
-    f = fox_from_dehn(trefoil, nontriv)
-    assert fox_is_valid(trefoil, f)
-    assert len(set(f.values)) == 3
+                   if classify(trefoil, c) == NONTRIVIAL)
+    assert len(set(fox_from_dehn(trefoil, nontriv))) == 3
+    # every coloring of every catalog knot, at every p dividing its
+    # determinant, maps to arc colors that solve the Fox relations as the
+    # dense reference writes them
+    checked = 0
+    for d in catalog.values():
+        fox_rows = dense_fox_matrix(d)
+        for p in dividing_primes(knot_determinant(d)):
+            for c in colorings(d, p).enumerated:
+                f = fox_from_dehn(d, c)
+                assert len(f) == len(d.arcs)
+                assert all(sum(a * x for a, x in zip(row, f)) % p == 0
+                           for row in fox_rows), (d.pd, p, c)
+                checked += classify(d, c) == NONTRIVIAL
+    assert checked > 0
 
 
 def test_p_to_1_correspondence(catalog):
@@ -328,7 +337,7 @@ def test_sparse_builders_match_dense_definitions(catalog):
             # the basis of a larger one
             space = colorings(d, p, budget=10 ** 4)
             for c in space.enumerated if d.n < 8 else space.basis:
-                if classify(d, c).kind == NONTRIVIAL:
+                if classify(d, c) == NONTRIVIAL:
                     aug = augmented_matrix(d, c)
                     variants.add(aug.variant)
                     _assert_sparse_of(aug.full(), dense_augmented_matrix(d, c), nreg)

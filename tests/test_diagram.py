@@ -127,10 +127,32 @@ def test_semiarcs_border_two_regions():
             assert d.semiarc_regions(s) == tuple(region_of_dart[x] for x in darts)
 
 
+def test_semiarc_regions_rejects_unknown_label():
+    d = build_diagram(parse_pd(TREFOIL))
+    with pytest.raises(KeyError, match="999"):
+        d.semiarc_regions(999)
+
+
+def test_relations_match_semiarc_regions():
+    # x1, x2 flank the under semiarc at position 0 and x3, x4 the one at
+    # position 2; x1, x3 flank the over semiarc at position 1 and x2, x4 the
+    # one at position 3.  Swapping any two slots of a relation breaks one of
+    # the four
+    pds = [parse_pd(text) for text in CATALOG.values()]
+    pds += [parse_pd(KINK), PDCode(((1, 1, 2, 2),))]
+    pds += [parse_pd(pretzel_pd(t)) for t in seeded_pretzels(23, 6)]
+    for pd in pds:
+        d = build_diagram(pd)
+        assert len(d.relations) == d.n
+        for (x1, x2, x3, x4), quad in zip(d.relations, pd.crossings):
+            a0, a1, a2, a3 = (set(d.semiarc_regions(a)) for a in quad)
+            assert ({x1, x2}, {x3, x4}, {x1, x3}, {x2, x4}) == (a0, a2, a1, a3), pd
+
+
 def test_checkerboard_proper():
     for text in (TREFOIL, FIG8_JSON, KINK):
         d = build_diagram(parse_pd(text))
-        shading = checkerboard(d).shading
+        shading = checkerboard(d)
         assert shading[0] == 0
         for s in d.pd.semiarcs():
             r1, r2 = d.semiarc_regions(s)

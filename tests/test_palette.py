@@ -154,7 +154,7 @@ def test_witness_is_connected_r_subgraph():
 def test_diagram_palette_trefoil():
     d = catalog_diagram("3_1")
     c = next(x for x in colorings(d, 3).enumerated
-             if classify(d, x).kind == NONTRIVIAL)
+             if classify(d, x) == NONTRIVIAL)
     g = palette_graph_of_diagram(d, c)
     assert g.vertices == frozenset({0, 1, 2})
     assert set(g.edges) == {(0, 1), (0, 2), (1, 2)}
@@ -173,7 +173,7 @@ def test_diagram_palette_theorem_over_catalog(catalog):
     for d in catalog.values():
         for p in dividing_primes(knot_determinant(d)):
             for c in colorings(d, p).enumerated:
-                if classify(d, c).kind != NONTRIVIAL:
+                if classify(d, c) != NONTRIVIAL:
                     continue
                 g = palette_graph_of_diagram(d, c)
                 assert len(g.vertices) >= 3
@@ -185,12 +185,12 @@ def test_diagram_palette_theorem_over_catalog(catalog):
                 # each edge label is the over-arc class at its crossing
                 fox = fox_from_dehn(d, c)
                 for a, b, cc, _ in d.pd.crossings:
-                    b1 = fox.values[d.arc_of_semiarc[a]]
-                    b2 = fox.values[d.arc_of_semiarc[cc]]
+                    b1 = fox[d.arc_of_semiarc[a]]
+                    b2 = fox[d.arc_of_semiarc[cc]]
                     if b1 == b2:
                         continue
                     e = (min(b1, b2), max(b1, b2))
-                    assert g.edges[e] == fox.values[d.arc_of_semiarc[b]]
+                    assert g.edges[e] == fox[d.arc_of_semiarc[b]]
 
 
 def test_palette_graph_validation():
