@@ -17,9 +17,6 @@ from itertools import compress
 from math import gcd
 from operator import mul
 
-# perfbench/tracer.py wraps this module attribute to count determinant calls
-from knotcol._kernels import det_bareiss_small
-
 
 class NotInvertibleError(ValueError):
     pass
@@ -314,6 +311,29 @@ def nullspace_mod_p(m, p: int) -> list:
             v[j] = x
         basis.append(tuple(reversed(v)))
     return basis
+
+
+# perfbench/tracer.py wraps this module attribute to count determinant calls
+def det_bareiss_small(rows):
+    """Fraction-free (Bareiss) determinant of a k x k integer matrix given
+    as its k rows, k >= 1; exact for any order and entry size."""
+    k = len(rows)
+    a = [list(r) for r in rows]
+    sign = 1
+    prev = 1
+    for col in range(k - 1):
+        if a[col][col] == 0:
+            piv = next((i for i in range(col + 1, k) if a[i][col]), None)
+            if piv is None:
+                return 0
+            a[col], a[piv] = a[piv], a[col]
+            sign = -sign
+        for i in range(col + 1, k):
+            for j in range(col + 1, k):
+                a[i][j] = (a[i][j] * a[col][col] - a[i][col] * a[col][j]) // prev
+            a[i][col] = 0
+        prev = a[col][col]
+    return sign * a[k - 1][k - 1]
 
 
 def det_int(m) -> int:

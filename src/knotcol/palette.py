@@ -19,6 +19,9 @@ from knotcol.coloring import DehnColoring, fox_from_dehn
 from knotcol.diagram import Diagram, components
 from knotcol.exactalg import _require_odd_prime, inv_mod_p
 
+# The most pairs of sums, over all difference cliques, that palette_graph joins
+PAIR_LIMIT = 10**7
+
 
 @dataclass(frozen=True)
 class PaletteGraph:
@@ -56,6 +59,10 @@ def palette_graph(colors, p: int) -> PaletteGraph:
     for x, y in combinations_with_replacement(sorted(s), 2):
         d = y - x
         cliques.setdefault(min(d, p - d), set()).add((x + y) % p)
+    pairs = sum(len(c) * (len(c) - 1) for c in cliques.values()) // 2
+    if pairs > PAIR_LIMIT:
+        raise ValueError(f"the palette graph joins {pairs} pairs of sums, over "
+                         f"the limit of {PAIR_LIMIT}")
     vertices = frozenset().union(*cliques.values())
     return PaletteGraph(p, vertices, (
         e for sums in cliques.values() for e in combinations(sorted(sums), 2)))

@@ -248,6 +248,12 @@ def test_usage_errors():
         assert invoke(["candidates", "--p", str(2**61 - 1), "--size", size])[0] \
             == EXIT_USAGE
     assert invoke(["candidates", "--p", "1000003", "--size", "2"])[0] == EXIT_OK
+    # few subsets, but each costs O(size^3): minutes at 101, hours at 209
+    for p, size in (("103", "101"), ("211", "209")):
+        assert invoke(["candidates", "--p", p, "--size", size])[0] == EXIT_USAGE
+    # about 10.7M pairs of sums to join in the palette graph
+    assert invoke(["palette", "--p", "1000003", "--set",
+                   ",".join(map(str, range(400)))])[0] == EXIT_USAGE
     assert invoke(["det", "--pd", "[[true,4,2,5],[3,6,4,1],[5,2,6,3]]"])[0] \
         == EXIT_USAGE  # boolean semiarc label
     assert invoke(["det", "--pd", "[]"])[0] == EXIT_USAGE  # no crossings

@@ -16,6 +16,7 @@ from knotcol.colorsets import (
     enumerate_classes,
     theorem62_report,
 )
+from knotcol.palette import NO_WITNESS, connected_r_witness, palette_graph
 
 
 def test_canonical_examples():
@@ -113,6 +114,15 @@ def test_enumerate_classes_scan_limit():
     assert enumerate_classes(2**61 - 1, 1)[0].elements == (0,)  # no scan
 
 
+def test_enumerate_classes_scan_limit_weighs_size():
+    # each subset costs O(k^3), so above k = 7 the limit shrinks by (7/k)^3:
+    # C(101, 2) = 5,050 subsets at k = 101 would take minutes, C(209, 2) at
+    # 209 hours, and C(45, 6), about 8.1M, at k = 8 is over it too
+    for p, k in ((103, 101), (211, 209), (47, 8)):
+        with pytest.raises(ValueError, match="over the limit"):
+            enumerate_classes(p, k)
+
+
 def test_enumerate_classes_at_size_two_builds_no_pool():
     # the one subset (0, 1) is canonicalized without copying the p - 2
     # further elements into a tuple, which took 40 MB at p = 1,000,003
@@ -183,6 +193,28 @@ def test_report_small_primes():
         assert r.empty_sizes_ok
         assert r.matches_expected
         assert len(r.found) == len(EXPECTED_CANDIDATES[p])
+
+
+def test_candidates_empty_below_critical_size():
+    # the reference check theorem62_report leaves to upward closure
+    for p in ODD_PRIMES_BELOW_32:
+        for k in range(1, theorem_lower_bound(p)):
+            assert candidates(p, k) == [], (p, k)
+
+
+def test_candidates_closed_upward():
+    # every one-element extension of a candidate passes: at the critical
+    # size kc for every p < 32, and at kc + 1 for 5 <= p <= 19
+    extended = 0
+    for p in ODD_PRIMES_BELOW_32:
+        kc = theorem_lower_bound(p)
+        for k in (kc, kc + 1) if 5 <= p <= 19 else (kc,):
+            for cs in candidates(p, k):
+                for x in set(range(p)) - set(cs.elements):
+                    g = palette_graph(cs.elements + (x,), p)
+                    assert connected_r_witness(g) != NO_WITNESS, (p, cs.elements, x)
+                    extended += 1
+    assert extended == 449 + 1768
 
 
 def test_report_rejects_large_prime():

@@ -3,6 +3,8 @@ from itertools import combinations
 
 from knotcol import _kernels
 from knotcol.coloring import theorem_lower_bound
+from knotcol.colorsets import canonical_affine_min
+from knotcol.exactalg import det_bareiss_small
 
 
 def test_backend_reported():
@@ -10,8 +12,8 @@ def test_backend_reported():
 
 
 def test_fallback_det_known_values():
-    assert _kernels.det_bareiss_small([[1, 2], [3, 4]]) == -2
-    assert _kernels.det_bareiss_small([[7]]) == 7
+    assert det_bareiss_small([[1, 2], [3, 4]]) == -2
+    assert det_bareiss_small([[7]]) == 7
 
 
 def _min_over_all_affine_maps(elems, p):
@@ -40,7 +42,7 @@ def test_canonical_matches_all_maps_every_subset():
     for p in (3, 5, 7, 11):
         for mask in range(1, 2**p):
             elems = tuple(x for x in range(p) if mask >> x & 1)
-            assert _kernels.canonical_affine_min(elems, p) \
+            assert canonical_affine_min(elems, p) \
                 == _min_over_all_affine_maps(elems, p), (elems, p)
 
 
@@ -54,7 +56,7 @@ def test_canonical_matches_all_maps_random_subsets():
         sizes.add(k)
         full_set_seen |= k == p
         elems = tuple(sorted(rng.sample(range(p), k)))
-        assert _kernels.canonical_affine_min(elems, p) \
+        assert canonical_affine_min(elems, p) \
             == _min_over_all_affine_maps(elems, p), (elems, p)
     assert {1, 2} <= sizes and full_set_seen
 
@@ -66,7 +68,7 @@ def test_canonical_matches_pair_maps_scanned_subsets():
         for k in range(2, min(p, theorem_lower_bound(p) + (p < 29)) + 1):
             for rest in combinations(range(2, p), k - 2):
                 elems = (0, 1) + rest
-                assert _kernels.canonical_affine_min(elems, p) \
+                assert canonical_affine_min(elems, p) \
                     == _min_over_pair_maps(elems, p), (elems, p)
 
 
@@ -86,7 +88,7 @@ def test_canonical_without_three_term_progression():
              ((0, 1, 5, 7), 31, None), ((0, 1, 4, 6, 13), 31, None)]
     for elems, p, expected in cases:
         assert not _progressions(elems, p), (elems, p)
-        got = _kernels.canonical_affine_min(elems, p)
+        got = canonical_affine_min(elems, p)
         assert got == _min_over_pair_maps(elems, p), (elems, p)
         assert 2 not in got
         if expected is not None:
@@ -114,7 +116,7 @@ def test_canonical_midpoint_through_inverse_of_two():
         elems = _extend_without_progressions((0, 1, h), p, min(p, 7))
         assert _progressions(elems, p) == [(0, h, 1)], (elems, p)
         for k in range(3, len(elems) + 1):
-            got = _kernels.canonical_affine_min(elems[:k], p)
+            got = canonical_affine_min(elems[:k], p)
             assert got == _min_over_all_affine_maps(elems[:k], p), (elems[:k], p)
             assert got[:3] == (0, 1, 2)
 
@@ -128,12 +130,12 @@ def test_canonical_midpoint_at_large_prime():
                 (p - 3, p - 2, (p - 5) // 2, 12345)]
     for elems in wrapping:
         assert len(_progressions(elems, p)) == 1, elems
-        got = _kernels.canonical_affine_min(elems, p)
+        got = canonical_affine_min(elems, p)
         assert got == _min_over_pair_maps(elems, p), elems
         assert got[:3] == (0, 1, 2)
     for elems in ((0, 1, 3, 9, 27, 81), (p - 1, 0, 2, 2**20)):
         assert not _progressions(elems, p), elems
-        got = _kernels.canonical_affine_min(elems, p)
+        got = canonical_affine_min(elems, p)
         assert got == _min_over_pair_maps(elems, p), elems
         assert 2 not in got
 
@@ -146,7 +148,7 @@ def test_canonical_matches_pair_maps_large_primes():
         for _ in range(300):
             k = rng.randint(1, 12)
             elems = tuple(rng.sample(range(p), k))
-            assert _kernels.canonical_affine_min(elems, p) \
+            assert canonical_affine_min(elems, p) \
                 == _min_over_pair_maps(elems, p), (elems, p)
 
 
@@ -157,8 +159,8 @@ def test_canonical_with_several_survivors():
     cases += [(tuple(range(k)), p) for p in (7, 31, 2**31 - 1) for k in (3, 4, 7)]
     cases += [(tuple(range(p)), p) for p in (3, 5, 7, 11, 13, 31)]
     for elems, p in cases:
-        assert _kernels.canonical_affine_min(elems, p) \
+        assert canonical_affine_min(elems, p) \
             == _min_over_pair_maps(elems, p), (elems, p)
-    assert _kernels.canonical_affine_min((1, 2, 4, 8, 16), 31) == (0, 1, 3, 7, 15)
-    assert _kernels.canonical_affine_min(tuple(range(31)), 31) == tuple(range(31))
-    assert _kernels.canonical_affine_min((5, 9, 13, 17), 2**31 - 1) == (0, 1, 2, 3)
+    assert canonical_affine_min((1, 2, 4, 8, 16), 31) == (0, 1, 3, 7, 15)
+    assert canonical_affine_min(tuple(range(31)), 31) == tuple(range(31))
+    assert canonical_affine_min((5, 9, 13, 17), 2**31 - 1) == (0, 1, 2, 3)

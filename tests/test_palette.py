@@ -24,6 +24,7 @@ from knotcol.colorsets import ODD_PRIMES_BELOW_32, enumerate_classes
 from knotcol.diagram import catalog_diagram, components
 from knotcol.palette import (
     NO_WITNESS,
+    PAIR_LIMIT,
     PaletteGraph,
     connected_r_witness,
     palette_graph,
@@ -200,6 +201,15 @@ def test_palette_graph_validation():
         PaletteGraph(5, frozenset({0, 1}), [(0, 1)])  # label 3 is not a vertex
     with pytest.raises(ValueError):
         PaletteGraph(5, frozenset({0}), [(0, 0)])  # loop
+
+
+def test_palette_graph_pair_limit():
+    # the difference cliques of range(n) join C(n + 1, 3) pairs of sums when
+    # p is large: about 10.7M at n = 400, over the limit, and 1.3M at 200
+    p = 1_000_003
+    with pytest.raises(ValueError, match=f"10666600 pairs.*{PAIR_LIMIT}"):
+        palette_graph(range(400), p)
+    assert len(palette_graph(range(200), p).vertices) == 399
 
 
 def test_palette_graph_refuses_bad_edges_at_construction():
