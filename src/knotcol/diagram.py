@@ -216,26 +216,16 @@ def build_diagram(pd: PDCode) -> Diagram:
 
 
 def checkerboard(d: Diagram) -> tuple:
-    """Proper 2-shading of the regions, region index -> 0 or 1, with
-    region 0 shaded 0."""
-    shade = [None] * len(d.regions)
-    shade[0] = 0
-    queue = [0]
-    adjacency = [[] for _ in d.regions]
-    for r1, r2 in d.regions_of_semiarc.values():
-        adjacency[r1].append(r2)
-        adjacency[r2].append(r1)
-    while queue:
-        r = queue.pop()
-        for nb in adjacency[r]:
-            if shade[nb] is None:
-                shade[nb] = 1 - shade[r]
-                queue.append(nb)
-            elif shade[nb] == shade[r]:
-                raise PDError("diagram not checkerboard-colorable; corrupt input")
-    if any(s is None for s in shade):
+    """Proper 2-shading of the regions, region index -> 0 or 1, with region
+    0 shaded 0: the Tait graphs' vertex sets, classes of the opposite corners
+    x1 ~ x4, x2 ~ x3, so x1 !~ x2 checks all four adjacent corner pairs."""
+    root = components(range(len(d.regions)), (
+        pair for x1, x2, x3, x4 in d.relations for pair in ((x1, x4), (x2, x3))))
+    if len(set(root.values())) != 2:
         raise PDError("disconnected region adjacency; corrupt input")
-    return tuple(shade)
+    if any(root[x1] == root[x2] for x1, x2, _, _ in d.relations):
+        raise PDError("diagram not checkerboard-colorable; corrupt input")
+    return tuple(int(root[r] != root[0]) for r in range(len(d.regions)))
 
 
 # Small-knot PD codes from standard tables.  The tests check each entry:

@@ -4,7 +4,7 @@ All computations use Python's unbounded integers; nothing here ever touches
 floating point.  A matrix is a `SparseMatrix`: rows {column: nonzero} and
 a column count.  The public rank, nullspace and Smith entry points also
 take a dense list of integer rows (tuples are read alike), which
-`as_sparse` converts once; `det_int` takes a small dense square matrix.  A
+`as_sparse` converts once; `det_int` takes a dense square one.  A
 vector mod p is a tuple of residues in [0, p).  No public function here
 changes its input.
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import compress
-from math import gcd
+from math import gcd, prod
 from operator import mul
 
 
@@ -176,6 +176,8 @@ def _eliminate_rows(rows, p=None, reduced=False) -> dict:
     """Sparse row reduction over Z_p, or over Z when p is None, of a list
     of rows {column: nonzero}; it replaces the list's entries but never
     changes a row dict, so pivot rows it returns may be eliminated again.
+    Over Z it never swaps or rescales rows and never changes a pivot row
+    again, so the list ends with each pivot at its own index, the rest empty.
 
     The columns go in increasing order of name, the next one taken from a
     heap of the pending rows' leading columns.  The pivot of column c is
@@ -313,7 +315,7 @@ def nullspace_mod_p(m, p: int) -> list:
     return basis
 
 
-# perfbench/tracer.py wraps this module attribute to count determinant calls
+# the tests' reference determinant; perfbench/tracer.py wraps the name
 def det_bareiss_small(rows):
     """Fraction-free (Bareiss) determinant of a k x k integer matrix given
     as its k rows, k >= 1; exact for any order and entry size."""
@@ -337,13 +339,22 @@ def det_bareiss_small(rows):
 
 
 def det_int(m) -> int:
-    """Exact determinant of a square integer matrix."""
+    """Exact determinant of a square integer matrix.  `_eliminate_rows` over
+    Z keeps det and leaves each pivot row at its own index, so det is the
+    pivots' product times the sign of sorting the rows by leading column."""
     n = len(m)
     if any(len(r) != n for r in m):
         raise ValueError("determinant requires a square matrix")
-    if n == 0:
-        return 1
-    return det_bareiss_small(m)
+    rows = as_sparse(m).rows
+    pivots = _eliminate_rows(rows)
+    if len(pivots) < n:
+        return 0
+    lead = [min(r) for r in rows]
+    sign = 1
+    for i in range(n):
+        while (j := lead[i]) != i:  # each swap puts one leading column home
+            lead[i], lead[j], sign = lead[j], j, -sign
+    return sign * prod(r[c] for c, r in pivots.items())
 
 
 def rank_int(m) -> int:

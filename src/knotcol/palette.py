@@ -50,19 +50,23 @@ def palette_graph(colors, p: int) -> PaletteGraph:
     s = {a % p for a in colors}
     if not s:
         raise ValueError("color set must be nonempty")
-    # b1 = a1+a2 and b2 = a3+a4 are joined when a1+a3 = a2+a4 (mod p), the
-    # other displayed condition being this one with a3 and a4 swapped; that
-    # is a1 - a2 = a4 - a3, so the sums of the ordered pairs of one
-    # difference form a clique.  (x, y) and (y, x) have one sum, so the
-    # difference is taken up to sign, and only the pairs x <= y are formed
-    cliques = {}
-    for x, y in combinations_with_replacement(sorted(s), 2):
-        d = y - x
-        cliques.setdefault(min(d, p - d), set()).add((x + y) % p)
-    pairs = sum(len(c) * (len(c) - 1) for c in cliques.values()) // 2
+    # the clique of difference 0 alone joins C(len(s), 2) pairs, its sums 2x
+    # being distinct as p is odd; that bound is tested before any clique
+    pairs = len(s) * (len(s) - 1) // 2
+    if pairs <= PAIR_LIMIT:
+        # b1 = a1+a2 and b2 = a3+a4 are joined when a1+a3 = a2+a4 (mod p), the
+        # other displayed condition being this one with a3 and a4 swapped; that
+        # is a1 - a2 = a4 - a3, so the sums of the ordered pairs of one
+        # difference form a clique.  (x, y) and (y, x) have one sum, so the
+        # difference is taken up to sign, and only the pairs x <= y are formed
+        cliques = {}
+        for x, y in combinations_with_replacement(sorted(s), 2):
+            d = y - x
+            cliques.setdefault(min(d, p - d), set()).add((x + y) % p)
+        pairs = sum(len(c) * (len(c) - 1) for c in cliques.values()) // 2
     if pairs > PAIR_LIMIT:
-        raise ValueError(f"the palette graph joins {pairs} pairs of sums, over "
-                         f"the limit of {PAIR_LIMIT}")
+        raise ValueError(f"the palette graph joins at least {pairs} pairs of "
+                         f"sums, over the limit of {PAIR_LIMIT}")
     vertices = frozenset().union(*cliques.values())
     return PaletteGraph(p, vertices, (
         e for sums in cliques.values() for e in combinations(sorted(sums), 2)))

@@ -76,6 +76,30 @@ def dense_augmented_matrix(d, c):
     return dense_coloring_matrix(d) + [extra]
 
 
+def reference_checkerboard(d):
+    """The checkerboard shading by a search from region 0 over the regions
+    that share a semiarc, alternating shades: the reference that
+    `checkerboard` must equal."""
+    shade = [None] * len(d.regions)
+    shade[0] = 0
+    queue = [0]
+    adjacency = [[] for _ in d.regions]
+    for r1, r2 in d.regions_of_semiarc.values():
+        adjacency[r1].append(r2)
+        adjacency[r2].append(r1)
+    while queue:
+        r = queue.pop()
+        for nb in adjacency[r]:
+            if shade[nb] is None:
+                shade[nb] = 1 - shade[r]
+                queue.append(nb)
+            elif shade[nb] == shade[r]:
+                raise PDError("diagram not checkerboard-colorable; corrupt input")
+    if any(s is None for s in shade):
+        raise PDError("disconnected region adjacency; corrupt input")
+    return tuple(shade)
+
+
 def det_cofactor(rows):
     """Determinant by cofactor expansion, memoized on column subsets."""
     n = len(rows)

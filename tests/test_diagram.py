@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 
@@ -5,6 +6,7 @@ import pytest
 from conftest import (
     pretzel_pd,
     reference_build_diagram,
+    reference_checkerboard,
     reference_validate_pd,
     seeded_pretzels,
     torus_pd,
@@ -157,6 +159,28 @@ def test_checkerboard_proper():
         for s in d.pd.semiarcs():
             r1, r2 = d.semiarc_regions(s)
             assert shading[r1] != shading[r2]
+
+
+def test_checkerboard_matches_reference():
+    # the classes of opposite corners against a search over the regions
+    # that share a semiarc
+    texts = [*CATALOG.values(), KINK]
+    texts += [torus_pd(n) for n in range(3, 102, 2)]
+    texts += [pretzel_pd(t) for t in seeded_pretzels(5, 20)]
+    for text in texts:
+        d = build_diagram(parse_pd(text))
+        assert checkerboard(d) == reference_checkerboard(d), text
+
+
+def test_checkerboard_refusals():
+    d = build_diagram(parse_pd(TREFOIL))
+    with pytest.raises(PDError, match="disconnected region adjacency"):
+        checkerboard(dataclasses.replace(d, relations=()))
+    shading = checkerboard(d)
+    r, s = [i for i, x in enumerate(shading) if x == shading[0]][:2]
+    bad = dataclasses.replace(d, relations=d.relations + ((r, r, s, s),))
+    with pytest.raises(PDError, match="not checkerboard-colorable"):
+        checkerboard(bad)
 
 
 def test_catalog_regions_and_names():

@@ -1,15 +1,18 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dense, det_cofactor, gcd_of_minors, pretzel_pd, torus_pd
-from knotcol import exactalg
+from knotcol import certificates, exactalg
 from knotcol.coloring import (
+    NONTRIVIAL,
     alexander_matrix_at_minus_one,
+    classify,
     coloring_matrix,
+    colorings,
     fox_colorings_count,
     fox_matrix,
     knot_determinant,
@@ -21,6 +24,7 @@ from knotcol.exactalg import (
     PRIMALITY_LIMIT,
     SparseMatrix,
     _require_odd_prime,
+    det_bareiss_small,
     det_int,
     inv_mod_p,
     is_odd_prime,
@@ -131,6 +135,43 @@ def test_det_large_entries_exact():
     big = 10 ** 30
     m = [[big, 1], [1, big]]
     assert det_int(m) == big * big - 1
+
+
+def test_det_permutation_matrices():
+    # a permutation matrix has the permutation's sign as determinant
+    for n in range(1, 6):
+        for perm in permutations(range(n)):
+            m = [[int(perm[i] == j) for j in range(n)] for i in range(n)]
+            inversions = sum(perm[i] > perm[j] for i, j in combinations(range(n), 2))
+            assert det_int(m) == (-1) ** inversions, perm
+
+
+def test_det_singular_and_empty():
+    assert det_int([[1, 2, 3], [0, 0, 0], [4, 5, 6]]) == 0
+    assert det_int([[1, 2, 3], [4, 5, 6], [1, 2, 3]]) == 0
+    # star rows (-1, 1) summing to the zero row
+    assert det_int([[1, -1, 0], [0, 1, -1], [-1, 0, 1]]) == 0
+    assert det_int([]) == 1
+
+
+@pytest.mark.parametrize("n", [n for n in range(11, 102) if is_odd_prime(n)])
+def test_det_certificate_minors_match_bareiss(n, monkeypatch):
+    # T(2, n) at p = n: the minor extract_certificate hands to det_int,
+    # for the coloring certify takes, of order up to 100
+    d = build_diagram(parse_pd(torus_pd(n)))
+    c = next(c for c in reversed(colorings(d, n, budget=0).basis)
+             if classify(d, c) == NONTRIVIAL)
+    minors = []
+
+    def recording(m):
+        minors.append(m)
+        return det_int(m)
+
+    monkeypatch.setattr(exactalg, "det_int", recording)
+    cert = certificates.extract_certificate(certificates.augmented_matrix(d, c))
+    (sub,) = minors
+    assert det_int(sub) == det_bareiss_small(sub) == cert.det_value
+    assert not cert.violations
 
 
 @given(st.lists(st.lists(st.integers(-20, 20), min_size=3, max_size=3),

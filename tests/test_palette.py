@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations, product
 
 import pytest
@@ -210,6 +211,16 @@ def test_palette_graph_pair_limit():
     with pytest.raises(ValueError, match=f"10666600 pairs.*{PAIR_LIMIT}"):
         palette_graph(range(400), p)
     assert len(palette_graph(range(200), p).vertices) == 399
+
+
+def test_palette_graph_refuses_huge_sets_at_once():
+    # the clique of difference 0 alone joins C(k, 2) pairs of k residues,
+    # over the limit from k = 4,473, so no clique is built
+    for k in (5000, 20000):
+        start = time.process_time()
+        with pytest.raises(ValueError, match=f"at least {k * (k - 1) // 2} pairs"):
+            palette_graph(range(k), 1_000_003)
+        assert time.process_time() - start < 0.5, k
 
 
 def test_palette_graph_refuses_bad_edges_at_construction():
