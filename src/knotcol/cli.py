@@ -24,6 +24,7 @@ from knotcol import certificates, colorsets, palette
 from knotcol.coloring import (
     NONTRIVIAL,
     classify,
+    coloring_matrix,
     colorings,
     fox_colorings_count,
     fox_from_dehn,
@@ -31,6 +32,7 @@ from knotcol.coloring import (
     min_colors_diagram,
 )
 from knotcol.diagram import CATALOG, build_diagram, catalog_diagram, parse_pd
+from knotcol.exactalg import rank_mod_p
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -56,8 +58,10 @@ def _jsonify(doc) -> str:
 
 
 def cmd_color_count(args):
-    sp = colorings(_get_diagram(args), args.p, budget=0)  # dimension and count only
-    doc = {"p": args.p, "dimension": sp.dimension, "count": sp.count}
+    d = _get_diagram(args)
+    # the solution space of the coloring matrix, one column per region
+    dim = d.nregions - rank_mod_p(coloring_matrix(d), args.p)
+    doc = {"p": args.p, "dimension": dim, "count": args.p ** dim}
     return EXIT_OK, doc, [f"{key} = {doc[key]}" for key in ("p", "dimension", "count")]
 
 

@@ -56,12 +56,12 @@ def coloring_matrix(d: Diagram) -> SparseMatrix:
             rows.append({x1: 1, x3: 1, x2: -1, x4: -1})
         else:
             rows.append(_sparse_row((x1, 1), (x3, 1), (x2, -1), (x4, -1)))
-    return SparseMatrix(rows, len(d.regions))
+    return SparseMatrix(rows, d.nregions)
 
 
 def is_valid_coloring(d: Diagram, c: DehnColoring) -> bool:
     v = c.values
-    if len(v) != len(d.regions):
+    if len(v) != d.nregions:
         return False
     for x1, x2, x3, x4 in d.relations:
         if (v[x1] + v[x3] - v[x2] - v[x4]) % c.p:
@@ -91,7 +91,7 @@ def colorings(d: Diagram, p: int, budget: int = DEFAULT_BUDGET) -> ColoringSpace
     enumerated = ()
     if count <= budget:
         enumerated = tuple(
-            DehnColoring(p, v) for v in _span(basis, p, len(d.regions))
+            DehnColoring(p, v) for v in _span(basis, p, d.nregions)
         )
     return ColoringSpace(p, tuple(DehnColoring(p, b) for b in basis),
                          dim, count, enumerated)
@@ -178,7 +178,7 @@ def min_colors_diagram(d: Diagram, p: int) -> MinColorsResult:
     a scan whose representatives times regions exceed MINCOL_SCAN_LIMIT.
     """
     space = colorings(d, p, budget=0)
-    nreg = len(d.regions)
+    nreg = d.nregions
     size = (p ** (space.dimension - 1) - 1) // (p - 1)
     if size * nreg > MINCOL_SCAN_LIMIT:
         raise ValueError(f"mincol scan too large: {size} affine classes of "

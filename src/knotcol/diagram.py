@@ -8,9 +8,16 @@ regions of each crossing relation, and the checkerboard shading.
 
 A dart is one of the two slot occurrences of a semiarc, written
 (crossing index, position), and numbered 4 * crossing + position inside
-this module, where the per-dart data are flat lists.  Faces are the orbits
-of "cross the semiarc, then rotate one position counterclockwise", which
-for a planar code yields exactly n + 2 faces.
+this module, where the per-dart data are flat lists.  The darts are
+paired once per PD code, on first read, for the parser and the builder
+both.  Faces are the orbits of "cross the semiarc, then rotate one
+position counterclockwise", which for a planar code yields exactly n + 2
+faces.
+
+`build_diagram` builds eagerly only what every query reads: the regions
+of each crossing relation, and the region count n + 2, which it checks.
+The regions' dart tuples, the arcs, the arc of each semiarc and the
+regions beside each semiarc are built from those on first read and kept.
 """
 
 from __future__ import annotations
@@ -18,7 +25,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from itertools import groupby, product
+from functools import cached_property
+from itertools import groupby
 
 
 class PDError(ValueError):
@@ -35,6 +43,35 @@ class PDCode:
 
     def semiarcs(self):
         return sorted({a for q in self.crossings for a in q})
+
+    @cached_property
+    def _darts(self):
+        """The label of each dart, the other dart of its semiarc, and each
+        label's first dart, the lists indexed by dart id, computed on first
+        read.  Raises PDError unless the 4n darts carry 2n labels, each
+        exactly twice."""
+        labels = [a for q in self.crossings for a in q]
+        m = len(labels)
+        first = {}
+        other = [-1] * m
+        for d, a in enumerate(labels):
+            f = first.setdefault(a, d)
+            if f != d:
+                other[f] = d
+                other[d] = f
+        # with 2n labels on 4n darts and none seen once, none is seen 3 times
+        if 2 * len(first) != m or m != 4 * self.n or -1 in other:
+            counts = {}
+            for a in labels:
+                counts[a] = counts.get(a, 0) + 1
+            bad = [a for a, c in counts.items() if c != 2]
+            if bad:
+                raise PDError(
+                    f"invalid PD code: labels {sorted(bad)} do not appear exactly twice")
+            raise PDError(
+                f"invalid PD code: {len(counts)} semiarc labels for {self.n} crossings"
+            )
+        return labels, other, first
 
 
 def parse_pd(text: str) -> PDCode:
@@ -70,33 +107,6 @@ def parse_pd(text: str) -> PDCode:
     return validate_pd(PDCode(quads))
 
 
-def _darts(pd: PDCode):
-    """The label of each dart, the other dart of its semiarc, and each
-    label's first dart, the lists indexed by dart id.  Raises PDError unless
-    the 4n darts carry 2n labels, each exactly twice."""
-    labels = [a for q in pd.crossings for a in q]
-    m = len(labels)
-    first = {}
-    other = [-1] * m
-    for d, a in enumerate(labels):
-        f = first.setdefault(a, d)
-        if f != d:
-            other[f] = d
-            other[d] = f
-    # with 2n labels on 4n darts and none seen once, none is seen 3 times
-    if 2 * len(first) != m or m != 4 * pd.n or -1 in other:
-        counts = {}
-        for a in labels:
-            counts[a] = counts.get(a, 0) + 1
-        bad = [a for a, c in counts.items() if c != 2]
-        if bad:
-            raise PDError(f"invalid PD code: labels {sorted(bad)} do not appear exactly twice")
-        raise PDError(
-            f"invalid PD code: {len(counts)} semiarc labels for {pd.n} crossings"
-        )
-    return labels, other, first
-
-
 def _cycles(succ):
     """The cycles of the permutation succ of range(len(succ)), each from
     its least element, in increasing order of that element, and the index
@@ -120,12 +130,16 @@ def _cycles(succ):
 def validate_pd(pd: PDCode) -> PDCode:
     if not pd.crossings:
         raise PDError("PD code has no crossings")
-    other = _darts(pd)[1]
+    other = pd._darts[1]
     # the strand entering at dart d leaves at d ^ 2 (0-2 under, 1-3 over)
     # and enters the next crossing at other[d ^ 2]; each component is two
-    # cycles of that map, one per direction
-    count = len(_cycles([other[d ^ 2] for d in range(len(other))])[0]) // 2
-    if count != 1:
+    # cycles of that map, one per direction, as long as its passages through
+    # crossings, so the cycle of dart 0 has all 2n passages only on a knot
+    steps, d = 1, other[2]
+    while d:
+        steps, d = steps + 1, other[d ^ 2]
+    if steps != 2 * pd.n:
+        count = len(_cycles([other[d ^ 2] for d in range(len(other))])[0]) // 2
         raise PDError(
             f"PD code describes a link with {count} components; only knots are supported"
         )
@@ -154,16 +168,61 @@ def components(items, pairs) -> dict:
 
 @dataclass(frozen=True)
 class Diagram:
+    """A knot diagram: its PD code and the regions of each crossing
+    relation; the other views are built from these on first read."""
     pd: PDCode
-    regions: tuple       # each region: tuple of darts (crossing, position)
-    arcs: tuple          # each arc: frozenset of semiarc labels
-    arc_of_semiarc: dict  # semiarc label -> arc index
     relations: tuple     # per crossing: regions (x1, x2, x3, x4), x1+x3 = x2+x4
-    regions_of_semiarc: dict  # semiarc label -> regions of its two darts, in dart order
 
     @property
     def n(self) -> int:
         return self.pd.n
+
+    @property
+    def nregions(self) -> int:
+        """The region count n + 2, which `build_diagram` checks."""
+        return self.pd.n + 2
+
+    def _region_of_dart(self) -> list:
+        # the relation regions of crossing c are those of darts 4c + 1,
+        # 4c, 4c + 2 and 4c + 3 (see build_diagram)
+        return [r for x1, x2, x3, x4 in self.relations for r in (x2, x1, x3, x4)]
+
+    @cached_property
+    def regions(self) -> tuple:
+        """Each region as the tuple of its darts (crossing, position), in
+        face order from its least dart."""
+        region = self._region_of_dart()
+        faces = _cycles(_face_successors(self.pd._darts[1]))[0]
+        regions = [None] * self.nregions
+        for face in faces:
+            regions[region[face[0]]] = tuple((d >> 2, d & 3) for d in face)
+        return tuple(regions)
+
+    @cached_property
+    def arc_of_semiarc(self) -> dict:
+        """Semiarc label -> arc index.  The semiarcs at positions 1 and 3
+        of a crossing belong to one over-arc; arcs go in increasing order
+        of their union-find root."""
+        root = components(self.pd._darts[2], ((q[1], q[3]) for q in self.pd.crossings))
+        index = {r: i for i, r in enumerate(sorted(set(root.values())))}
+        return dict(zip(root, map(index.__getitem__, root.values())))
+
+    @cached_property
+    def arcs(self) -> tuple:
+        """Each arc as the frozenset of its semiarc labels."""
+        arc = self.arc_of_semiarc
+        return tuple(frozenset(g) for _, g in groupby(sorted(arc, key=arc.__getitem__),
+                                                      arc.__getitem__))
+
+    @cached_property
+    def regions_of_semiarc(self) -> dict:
+        """Semiarc label -> the regions of its two darts, in dart order."""
+        _, other, first = self.pd._darts
+        region = self._region_of_dart()
+        firsts = first.values()
+        return dict(zip(first, zip(
+            map(region.__getitem__, firsts),
+            map(region.__getitem__, map(other.__getitem__, firsts)))))
 
     def semiarc_regions(self, semiarc: int):
         """The two region indices on either side of a semiarc; KeyError
@@ -171,11 +230,15 @@ class Diagram:
         return self.regions_of_semiarc[semiarc]
 
 
+def _face_successors(other) -> list:
+    """The face orbit step: the other dart, rotated one position."""
+    return [o - (o & 3) + ((o + 1) & 3) for o in other]
+
+
 def build_diagram(pd: PDCode) -> Diagram:
     n = pd.n
-    labels, other, first = _darts(pd)
-    # faces: cycles of "the other dart, rotated one position": (c, p) -> (c, p + 1)
-    faces, face_of = _cycles([o - (o & 3) + ((o + 1) & 3) for o in other])
+    labels, other, _ = pd._darts
+    faces, face_of = _cycles(_face_successors(other))
     if len(faces) != n + 2:
         raise PDError(
             f"non-planar or corrupt PD code: {len(faces)} faces, expected {n + 2}"
@@ -186,19 +249,9 @@ def build_diagram(pd: PDCode) -> Diagram:
     # by label puts them in (label, side) order, and each face is placed
     # where its first dart comes
     by_label = sorted(range(len(labels)), key=labels.__getitem__)
-    order = list(dict.fromkeys(map(face_of.__getitem__, by_label)))
+    order = dict.fromkeys(map(face_of.__getitem__, by_label))
     rank = dict(zip(order, range(len(order))))
     region = list(map(rank.__getitem__, face_of))
-    darts = list(product(range(n), range(4)))
-    regions = tuple(tuple(map(darts.__getitem__, faces[f])) for f in order)
-
-    # over-arcs: semiarcs at positions 1 and 3 of a crossing belong to one
-    # arc; arcs go in increasing order of their union-find root
-    root = components(first, ((q[1], q[3]) for q in pd.crossings))
-    index = {r: i for i, r in enumerate(sorted(set(root.values())))}
-    arc_of_semiarc = dict(zip(root, map(index.__getitem__, root.values())))
-    arcs = tuple(frozenset(g) for _, g in groupby(
-        sorted(root, key=arc_of_semiarc.__getitem__), arc_of_semiarc.__getitem__))
 
     # the face orbit reaching dart (c, p+1) turns through the corner between
     # positions p and p+1, so that corner lies in its face: the corners q01,
@@ -207,25 +260,20 @@ def build_diagram(pd: PDCode) -> Diagram:
     # lie on one side of the under-strand and q23/q30 on the other.  The
     # relation regions (x1, x2, x3, x4) of crossing c are (q01, q30, q12, q23)
     relations = tuple(zip(region[1::4], region[0::4], region[2::4], region[3::4]))
-    firsts = first.values()
-    regions_of_semiarc = dict(zip(first, zip(
-        map(region.__getitem__, firsts),
-        map(region.__getitem__, map(other.__getitem__, firsts)))))
-    return Diagram(pd, regions, arcs, arc_of_semiarc, relations,
-                   regions_of_semiarc)
+    return Diagram(pd, relations)
 
 
 def checkerboard(d: Diagram) -> tuple:
     """Proper 2-shading of the regions, region index -> 0 or 1, with region
     0 shaded 0: the Tait graphs' vertex sets, classes of the opposite corners
     x1 ~ x4, x2 ~ x3, so x1 !~ x2 checks all four adjacent corner pairs."""
-    root = components(range(len(d.regions)), (
+    root = components(range(d.nregions), (
         pair for x1, x2, x3, x4 in d.relations for pair in ((x1, x4), (x2, x3))))
     if len(set(root.values())) != 2:
         raise PDError("disconnected region adjacency; corrupt input")
     if any(root[x1] == root[x2] for x1, x2, _, _ in d.relations):
         raise PDError("diagram not checkerboard-colorable; corrupt input")
-    return tuple(int(root[r] != root[0]) for r in range(len(d.regions)))
+    return tuple(int(root[r] != root[0]) for r in range(d.nregions))
 
 
 # Small-knot PD codes from standard tables.  The tests check each entry:

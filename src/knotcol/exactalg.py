@@ -259,20 +259,41 @@ def ranks_appending(m, extra, p=None) -> list:
     appended, over Z_p, or over Q when p is None, from one elimination of m;
     extra is a matrix of m's width.
 
-    m is eliminated as in `rank_mod_p` and `rank_int`.  Its pivot rows span
-    its row space over Z_p, and over Z their row lattice is m's, so each
-    extra row, renamed into the same column order, is eliminated with the
-    pivot rows alone: appending a row adds 1 to the rank exactly when the
-    core finds one more pivot.
+    m is eliminated as in `rank_mod_p` and `rank_int`.  Its pivot rows are
+    in echelon form and span its row space, so each extra row, renamed
+    into the same column order, is reduced against them alone: appending
+    it adds 1 to the rank exactly when it is not reduced to zero.
     """
     if p is not None:
         _require_odd_prime(p)
     pivots, order = _echelon(m, p)
     new = dict(zip(order, range(len(order))))  # m column -> renamed column
-    basis = list(pivots.values())
-    return [len(basis)] + [
-        len(_eliminate_rows(basis + [{new[j]: v for j, v in r.items()}], p))
+    return [len(pivots)] + [
+        len(pivots) + _adds_rank({new[j]: v for j, v in r.items()}, pivots, p)
         for r in _reduced(as_sparse(extra).rows, p)]
+
+
+def _adds_rank(r: dict, pivots: dict, p) -> int:
+    """1 when the row r is outside the span of the echelon rows pivots
+    over Z_p, or over Q when p is None, else 0.  r is cleared at its
+    leading column by the pivot row there until it is zero or leads in a
+    column with no pivot row, where no combination of them can lead.
+    Over Z it is cleared fraction free: scaled so that the pivot divides
+    it there, then divided by the gcd of its entries."""
+    while r:
+        c = min(r)
+        piv = pivots.get(c)
+        if piv is None:
+            return 1
+        if p is None:
+            scale = piv[c] // gcd(piv[c], r[c])
+            r = _clear({j: scale * v for j, v in r.items()}, piv, c, None)
+            if r:
+                g = gcd(*r.values())
+                r = {j: v // g for j, v in r.items()}
+        else:
+            r = _clear(r, piv, c, p)
+    return 0
 
 
 def nullspace_mod_p(m, p: int) -> list:

@@ -5,6 +5,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,7 +13,6 @@ from knotcol.certificates import STAR_MULTISETS
 from knotcol.coloring import DehnColoring, is_valid_coloring
 from knotcol.diagram import (
     CATALOG,
-    Diagram,
     PDError,
     catalog_diagram,
     checkerboard,
@@ -344,9 +344,10 @@ def _reference_require_single_component(pd):
 
 
 def reference_build_diagram(pd):
-    """The diagram of a PD code built from dicts keyed by (crossing,
-    position) darts, one face walk and a sort by a key recomputed per dart:
-    the reference that `build_diagram` must equal."""
+    """The public views of the diagram of a PD code, each built at once
+    from dicts keyed by (crossing, position) darts, one face walk and a
+    sort by a key recomputed per dart: the reference that each view of
+    `build_diagram`, eager or built on first read, must equal."""
     n = pd.n
     # pair up the two darts of each semiarc
     occurrences = {}
@@ -419,8 +420,10 @@ def reference_build_diagram(pd):
     # relation regions (x1, x2, x3, x4) = (q01, q30, q12, q23) of the
     # quadrants (q01, q12, q23, q30)
     relations = tuple((q01, q30, q12, q23) for q01, q12, q23, q30 in quadrants)
-    return Diagram(pd, tuple(faces), arcs, arc_of_semiarc, relations,
-                   regions_of_semiarc)
+    return SimpleNamespace(
+        pd=pd, n=n, relations=relations, regions=tuple(faces), arcs=arcs,
+        arc_of_semiarc=arc_of_semiarc, regions_of_semiarc=regions_of_semiarc,
+        semiarc_regions=regions_of_semiarc.__getitem__)
 
 
 @pytest.fixture(scope="session")

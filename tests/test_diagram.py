@@ -12,6 +12,15 @@ from conftest import (
     torus_pd,
 )
 
+from knotcol.certificates import augmented_matrix, extract_certificate, rank_checks
+from knotcol.coloring import (
+    NONTRIVIAL,
+    classify,
+    colorings,
+    fox_colorings_count,
+    knot_determinant,
+    min_colors_diagram,
+)
 from knotcol.diagram import (
     CATALOG,
     CATALOG_DETERMINANTS,
@@ -214,6 +223,36 @@ def _relabeled(pd, rng):
     return PDCode(tuple(quads))
 
 
+# the views of a Diagram built on first read, and every public view
+LAZY = ("regions", "arcs", "arc_of_semiarc", "regions_of_semiarc")
+VIEWS = ("pd", "n", "relations") + LAZY
+
+
+def _assert_matches_reference(pd):
+    ours, theirs = build_diagram(pd), reference_build_diagram(pd)
+    for view in VIEWS:
+        assert getattr(ours, view) == getattr(theirs, view), (view, pd)
+    for a in pd.semiarcs():
+        assert ours.semiarc_regions(a) == theirs.semiarc_regions(a), (a, pd)
+
+
+def test_queries_on_relations_build_no_other_view():
+    # det, color-count, mincol and certify read the relations and the
+    # region count alone; fox builds the arcs on first read and keeps them
+    d = build_diagram(parse_pd(torus_pd(51)))
+    assert knot_determinant(d) == 51
+    space = colorings(d, 3)
+    assert min_colors_diagram(d, 3).min_colors == 3
+    c = next(c for c in space.enumerated if classify(d, c) == NONTRIVIAL)
+    aug = augmented_matrix(d, c)
+    assert all(r.ok for r in rank_checks(aug))
+    assert not extract_certificate(aug).violations
+    assert not set(LAZY) & set(vars(d))
+    assert fox_colorings_count(d, 3) == 9
+    arcs = vars(d)["arcs"]
+    assert d.arcs is arcs and len(arcs) == 51
+
+
 def test_build_diagram_matches_reference():
     pds = [parse_pd(text) for text in CATALOG.values()]
     pds += [parse_pd(KINK), PDCode(((1, 1, 2, 2),))]
@@ -222,7 +261,7 @@ def test_build_diagram_matches_reference():
     rng = random.Random(12)
     pds += [_relabeled(pd, rng) for pd in pds[:] for _ in range(2)]
     for pd in pds:
-        assert build_diagram(pd) == reference_build_diagram(pd), pd
+        _assert_matches_reference(pd)
         assert validate_pd(pd) == reference_validate_pd(pd)
 
 
@@ -258,4 +297,4 @@ def test_pd_errors_match_reference():
         assert str(ours.value) == str(theirs.value)
     # validation refuses a link, but its diagram builds
     hopf = _unvalidated(texts[0])
-    assert build_diagram(hopf) == reference_build_diagram(hopf)
+    _assert_matches_reference(hopf)
