@@ -213,32 +213,33 @@ def _affine_representatives(space: ColoringSpace, p: int, nreg: int):
 
 def fox_from_dehn(d: Diagram, c: DehnColoring) -> tuple:
     """Arc coloring, arc index -> residue: each arc gets the sum of the
-    region colors across any of its semiarcs."""
+    region colors on the two sides of any of its semiarcs.  At a crossing
+    with regions (x1, x2, x3, x4) these are x1 + x2 for the incoming under
+    semiarc, x3 + x4 for the outgoing one and x1 + x3 for the over one."""
     if not is_valid_coloring(d, c):
         raise NotAColoringError("not a coloring")
-    values = []
-    for arc in d.arcs:
-        sums = set()
-        for semiarc in arc:
-            r1, r2 = d.semiarc_regions(semiarc)
-            sums.add((c.values[r1] + c.values[r2]) % c.p)
-        assert len(sums) == 1, "arc color is not constant along the arc"
-        values.append(sums.pop())
+    arc, v, p = d.arc_of_semiarc, c.values, c.p
+    values = [None] * d.n
+    for (a, b, cc, _), (x1, x2, x3, x4) in zip(d.pd.crossings, d.relations):
+        for s, color in ((a, v[x1] + v[x2]), (cc, v[x3] + v[x4]), (b, v[x1] + v[x3])):
+            i, color = arc[s], color % p
+            assert values[i] in (None, color), "arc color is not constant along the arc"
+            values[i] = color
     return tuple(values)
 
 
 def fox_matrix(d: Diagram) -> SparseMatrix:
     """The arc relations u + u' - 2w = 0, one row per crossing (u and u'
-    the under arcs, w the over arc) and one column per arc."""
+    the under arcs, w the over arc) and one column per arc, n of them."""
     arc = d.arc_of_semiarc
     return SparseMatrix([_sparse_row((arc[a], 1), (arc[cc], 1), (arc[b], -2))
-                         for a, b, cc, _ in d.pd.crossings], len(d.arcs))
+                         for a, b, cc, _ in d.pd.crossings], d.n)
 
 
 def fox_colorings_count(d: Diagram, p: int) -> int:
     """#Fox colorings, by rank of the arc relation system mod p."""
     _require_odd_prime(p)
-    return p ** (len(d.arcs) - exactalg.rank_mod_p(fox_matrix(d), p))
+    return p ** (d.n - exactalg.rank_mod_p(fox_matrix(d), p))
 
 
 def alexander_matrix_at_minus_one(d: Diagram) -> SparseMatrix:

@@ -3,8 +3,8 @@
 A PD code lists one quadruple of semiarc labels per crossing, given
 counterclockwise starting at the incoming under-strand; positions 0 and 2
 carry the under-strand, positions 1 and 3 the over-strand.  From the code
-we recover regions (faces of the 4-valent plane graph), over-arcs, the
-regions of each crossing relation, and the checkerboard shading.
+we recover the regions (faces of the 4-valent plane graph) at the corners
+of each crossing relation, the over-arcs and the checkerboard shading.
 
 A dart is one of the two slot occurrences of a semiarc, written
 (crossing index, position), and numbered 4 * crossing + position inside
@@ -14,10 +14,10 @@ both.  Faces are the orbits of "cross the semiarc, then rotate one
 position counterclockwise", which for a planar code yields exactly n + 2
 faces.
 
-`build_diagram` builds eagerly only what every query reads: the regions
-of each crossing relation, and the region count n + 2, which it checks.
-The regions' dart tuples, the arcs, the arc of each semiarc and the
-regions beside each semiarc are built from those on first read and kept.
+A `Diagram` is its PD code, the regions of each crossing relation and,
+built on first read and kept, the arc of each semiarc.  Every dart lies
+in one corner of a relation, so the regions beside a semiarc, and the
+Fox colors a Dehn coloring gives, are read off the relations.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby
 
 
 class PDError(ValueError):
@@ -108,23 +107,19 @@ def parse_pd(text: str) -> PDCode:
 
 
 def _cycles(succ):
-    """The cycles of the permutation succ of range(len(succ)), each from
-    its least element, in increasing order of that element, and the index
-    of the cycle of each element."""
+    """The number of cycles of the permutation succ of range(len(succ)),
+    and the index of the cycle of each element, cycles numbered in
+    increasing order of their least element."""
     cycle_of = [-1] * len(succ)
-    cycles = []
+    k = 0
     for start in range(len(succ)):
         if cycle_of[start] < 0:
-            k = len(cycles)
-            cycle_of[start] = k
-            cycle = [start]
-            d = succ[start]
-            while d != start:
+            d = start
+            while cycle_of[d] < 0:
                 cycle_of[d] = k
-                cycle.append(d)
                 d = succ[d]
-            cycles.append(cycle)
-    return cycles, cycle_of
+            k += 1
+    return k, cycle_of
 
 
 def validate_pd(pd: PDCode) -> PDCode:
@@ -139,7 +134,7 @@ def validate_pd(pd: PDCode) -> PDCode:
     while d:
         steps, d = steps + 1, other[d ^ 2]
     if steps != 2 * pd.n:
-        count = len(_cycles([other[d ^ 2] for d in range(len(other))])[0]) // 2
+        count = _cycles([other[d ^ 2] for d in range(len(other))])[0] // 2
         raise PDError(
             f"PD code describes a link with {count} components; only knots are supported"
         )
@@ -169,7 +164,8 @@ def components(items, pairs) -> dict:
 @dataclass(frozen=True)
 class Diagram:
     """A knot diagram: its PD code and the regions of each crossing
-    relation; the other views are built from these on first read."""
+    relation; the arc of each semiarc is built from the code on first
+    read and kept."""
     pd: PDCode
     relations: tuple     # per crossing: regions (x1, x2, x3, x4), x1+x3 = x2+x4
 
@@ -182,66 +178,33 @@ class Diagram:
         """The region count n + 2, which `build_diagram` checks."""
         return self.pd.n + 2
 
-    def _region_of_dart(self) -> list:
-        # the relation regions of crossing c are those of darts 4c + 1,
-        # 4c, 4c + 2 and 4c + 3 (see build_diagram)
-        return [r for x1, x2, x3, x4 in self.relations for r in (x2, x1, x3, x4)]
-
-    @cached_property
-    def regions(self) -> tuple:
-        """Each region as the tuple of its darts (crossing, position), in
-        face order from its least dart."""
-        region = self._region_of_dart()
-        faces = _cycles(_face_successors(self.pd._darts[1]))[0]
-        regions = [None] * self.nregions
-        for face in faces:
-            regions[region[face[0]]] = tuple((d >> 2, d & 3) for d in face)
-        return tuple(regions)
-
     @cached_property
     def arc_of_semiarc(self) -> dict:
         """Semiarc label -> arc index.  The semiarcs at positions 1 and 3
         of a crossing belong to one over-arc; arcs go in increasing order
-        of their union-find root."""
+        of their union-find root.  A knot diagram has one arc per crossing,
+        the arc ending there as its under-strand."""
         root = components(self.pd._darts[2], ((q[1], q[3]) for q in self.pd.crossings))
         index = {r: i for i, r in enumerate(sorted(set(root.values())))}
         return dict(zip(root, map(index.__getitem__, root.values())))
 
-    @cached_property
-    def arcs(self) -> tuple:
-        """Each arc as the frozenset of its semiarc labels."""
-        arc = self.arc_of_semiarc
-        return tuple(frozenset(g) for _, g in groupby(sorted(arc, key=arc.__getitem__),
-                                                      arc.__getitem__))
-
-    @cached_property
-    def regions_of_semiarc(self) -> dict:
-        """Semiarc label -> the regions of its two darts, in dart order."""
-        _, other, first = self.pd._darts
-        region = self._region_of_dart()
-        firsts = first.values()
-        return dict(zip(first, zip(
-            map(region.__getitem__, firsts),
-            map(region.__getitem__, map(other.__getitem__, firsts)))))
-
     def semiarc_regions(self, semiarc: int):
-        """The two region indices on either side of a semiarc; KeyError
-        for a label that is not in the code."""
-        return self.regions_of_semiarc[semiarc]
-
-
-def _face_successors(other) -> list:
-    """The face orbit step: the other dart, rotated one position."""
-    return [o - (o & 3) + ((o + 1) & 3) for o in other]
+        """The regions of the two darts of a semiarc, in dart order; KeyError
+        for a label that is not in the code.  Dart (c, k) lies in relation
+        slot (1, 0, 2, 3)[k] of crossing c (see build_diagram)."""
+        _, other, first = self.pd._darts
+        d = first[semiarc]
+        return tuple(self.relations[e >> 2][(1, 0, 2, 3)[e & 3]] for e in (d, other[d]))
 
 
 def build_diagram(pd: PDCode) -> Diagram:
     n = pd.n
     labels, other, _ = pd._darts
-    faces, face_of = _cycles(_face_successors(other))
-    if len(faces) != n + 2:
+    # the face orbit step: the other dart, rotated one position
+    nfaces, face_of = _cycles([o - (o & 3) + ((o + 1) & 3) for o in other])
+    if nfaces != n + 2:
         raise PDError(
-            f"non-planar or corrupt PD code: {len(faces)} faces, expected {n + 2}"
+            f"non-planar or corrupt PD code: {nfaces} faces, expected {n + 2}"
         )
 
     # regions in increasing order of their least (label, side) over their

@@ -31,7 +31,7 @@ def dense_coloring_matrix(d):
     e_x4 over the regions, for the regions (x1, x2, x3, x4) of crossing i."""
     rows = []
     for x1, x2, x3, x4 in d.relations:
-        row = [0] * len(d.regions)
+        row = [0] * d.nregions
         row[x1] += 1
         row[x3] += 1
         row[x2] -= 1
@@ -42,7 +42,7 @@ def dense_coloring_matrix(d):
 
 def dense_alexander_matrix(d):
     """A_D(-1): the coloring matrix with the unit row e_0 below it."""
-    return dense_coloring_matrix(d) + [[1] + [0] * (len(d.regions) - 1)]
+    return dense_coloring_matrix(d) + [[1] + [0] * (d.nregions - 1)]
 
 
 def dense_fox_matrix(d):
@@ -51,7 +51,7 @@ def dense_fox_matrix(d):
     arc = d.arc_of_semiarc
     rows = []
     for a, b, c, _ in d.pd.crossings:
-        row = [0] * len(d.arcs)
+        row = [0] * len(set(arc.values()))
         row[arc[a]] += 1
         row[arc[c]] += 1
         row[arc[b]] -= 2
@@ -65,7 +65,7 @@ def dense_augmented_matrix(d, c):
     of one color and opposite shades (variant B), or e_0 when there is none
     (variant A)."""
     shading = checkerboard(d)
-    nreg = len(d.regions)
+    nreg = d.nregions
     extra = [0] * nreg
     pair = next(((i, j) for i, j in combinations(range(nreg), 2)
                  if c.values[i] == c.values[j] and shading[i] != shading[j]), None)
@@ -78,13 +78,14 @@ def dense_augmented_matrix(d, c):
 
 def reference_checkerboard(d):
     """The checkerboard shading by a search from region 0 over the regions
-    that share a semiarc, alternating shades: the reference that
-    `checkerboard` must equal."""
-    shade = [None] * len(d.regions)
+    that share a semiarc, as the reference diagram finds them, alternating
+    shades: the reference that `checkerboard` must equal."""
+    ref = reference_build_diagram(d.pd)
+    shade = [None] * len(ref.regions)
     shade[0] = 0
     queue = [0]
-    adjacency = [[] for _ in d.regions]
-    for r1, r2 in d.regions_of_semiarc.values():
+    adjacency = [[] for _ in ref.regions]
+    for r1, r2 in ref.regions_of_semiarc.values():
         adjacency[r1].append(r2)
         adjacency[r2].append(r1)
     while queue:
@@ -156,7 +157,7 @@ def random_star_matrix(k: int, seed: int) -> list:
 def brute_dehn_colorings(d, p):
     """All Dehn colorings by exhausting p^(#regions) region assignments."""
     found = []
-    for vals in product(range(p), repeat=len(d.regions)):
+    for vals in product(range(p), repeat=d.nregions):
         c = DehnColoring(p, vals)
         if is_valid_coloring(d, c):
             found.append(c)
@@ -168,7 +169,7 @@ def brute_fox_count(d, p):
     count = 0
     crossings = d.pd.crossings
     arc = d.arc_of_semiarc
-    for vals in product(range(p), repeat=len(d.arcs)):
+    for vals in product(range(p), repeat=len(set(arc.values()))):
         if all((vals[arc[a]] + vals[arc[c]] - 2 * vals[arc[b]]) % p == 0
                for a, b, c, _ in crossings):
             count += 1
@@ -344,10 +345,12 @@ def _reference_require_single_component(pd):
 
 
 def reference_build_diagram(pd):
-    """The public views of the diagram of a PD code, each built at once
-    from dicts keyed by (crossing, position) darts, one face walk and a
-    sort by a key recomputed per dart: the reference that each view of
-    `build_diagram`, eager or built on first read, must equal."""
+    """The views of the diagram of a PD code, each built at once from
+    dicts keyed by (crossing, position) darts, one face walk and a sort by
+    a key recomputed per dart: the reference that the relations, the arc
+    index and the semiarc regions of `build_diagram` must equal.  It also
+    keeps each face as its darts and each arc as its semiarcs, which the
+    library never builds, for the tests that count or walk them."""
     n = pd.n
     # pair up the two darts of each semiarc
     occurrences = {}

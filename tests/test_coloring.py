@@ -14,6 +14,7 @@ from conftest import (
     dense_fox_matrix,
     dividing_primes,
     pretzel_pd,
+    reference_build_diagram,
     seeded_pretzels,
     torus_pd,
 )
@@ -96,7 +97,7 @@ def test_colorings_match_brute_force(trefoil, fig8):
 def test_trivial_vectors_always_solutions(catalog):
     for d in catalog.values():
         for p in (3, 5, 7):
-            ones = DehnColoring(p, tuple([1] * len(d.regions)))
+            ones = DehnColoring(p, tuple([1] * d.nregions))
             assert is_valid_coloring(d, ones)
             assert is_valid_coloring(d, checkerboard_coloring(d, p))
             assert colorings(d, p, budget=0).dimension >= 2
@@ -192,7 +193,7 @@ def test_min_colors_matches_full_enumeration_dimension_six():
 
 def _trivial_representatives(d, p):
     space = colorings(d, p, budget=0)
-    return [v for v in _affine_representatives(space, p, len(d.regions))
+    return [v for v in _affine_representatives(space, p, d.nregions)
             if classify(d, DehnColoring(p, v)) != NONTRIVIAL]
 
 
@@ -209,7 +210,7 @@ def test_affine_representatives_at_dimension_two(catalog):
     d = catalog["3_1"]
     space = colorings(d, 5, budget=0)
     assert space.dimension == 2
-    assert list(_affine_representatives(space, 5, len(d.regions))) \
+    assert list(_affine_representatives(space, 5, d.nregions)) \
         == [checkerboard(d)]
 
 
@@ -228,7 +229,7 @@ def _assert_projective_representatives(d, p):
     """_affine_representatives yields, once each, the vectors of the
     region-0 span whose first nonzero entry is 1: (p^(d-1) - 1)/(p - 1)."""
     space = colorings(d, p, budget=0)
-    got = list(_affine_representatives(space, p, len(d.regions)))
+    got = list(_affine_representatives(space, p, d.nregions))
     assert len(got) == len(set(got)), p
     assert len(got) == (p ** (space.dimension - 1) - 1) // (p - 1), p
     # the reference filter: scan the whole span of the colorings vanishing
@@ -238,7 +239,7 @@ def _assert_projective_representatives(d, p):
     inv = pow(pivot[0], -1, p)
     basis = [tuple((x - v[0] * inv * y) % p for x, y in zip(v, pivot))
              for v in vectors]
-    expected = {v for v in _span(basis, p, len(d.regions))
+    expected = {v for v in _span(basis, p, d.nregions)
                 if next((x for x in v if x), None) == 1}
     assert set(got) == expected, p
 
@@ -295,9 +296,54 @@ def test_fox_from_dehn(trefoil, catalog):
         for p in dividing_primes(knot_determinant(d)):
             for c in colorings(d, p).enumerated:
                 f = fox_from_dehn(d, c)
-                assert len(f) == len(d.arcs)
+                assert len(f) == len(set(d.arc_of_semiarc.values()))
                 assert all(sum(a * x for a, x in zip(row, f)) % p == 0
                            for row in fox_rows), (d.pd, p, c)
+                checked += classify(d, c) == NONTRIVIAL
+    assert checked > 0
+
+
+def test_one_arc_per_crossing(catalog):
+    # the Fox width is n: each arc ends as the incoming under semiarc of
+    # one crossing, and each crossing ends one arc
+    diagrams = [*catalog.values(), build_diagram(parse_pd("X[1,2,2,1]")),
+                build_diagram(PDCode(((1, 1, 2, 2),)))]
+    diagrams += [build_diagram(parse_pd(torus_pd(n))) for n in range(3, 202, 2)]
+    diagrams += [build_diagram(parse_pd(pretzel_pd(t))) for t in seeded_pretzels(20, 60)]
+    checked = 0
+    for d in diagrams:
+        assert len(set(d.arc_of_semiarc.values())) == d.n, d.pd
+        for p in dividing_primes(knot_determinant(d)):
+            for c in colorings(d, p, budget=0).basis:
+                if classify(d, c) == NONTRIVIAL:
+                    assert len(fox_from_dehn(d, c)) == d.n, (d.pd, p)
+                    checked += 1
+    assert checked > 0
+
+
+def _reference_fox(ref, c):
+    """Arc colors from the reference diagram: the sums of the region colors
+    beside every semiarc of each arc, which must agree along the arc."""
+    sums = {}
+    for a, (r1, r2) in ref.regions_of_semiarc.items():
+        sums.setdefault(ref.arc_of_semiarc[a], set()).add((c.values[r1] + c.values[r2]) % c.p)
+    assert all(len(s) == 1 for s in sums.values())
+    return tuple(s.pop() for _, s in sorted(sums.items()))
+
+
+def test_fox_from_dehn_matches_reference_arc_sums(catalog):
+    # fox_from_dehn reads three semiarcs of each crossing off its relation;
+    # the reference sums over both sides of every semiarc
+    diagrams = list(catalog.values())
+    diagrams += [build_diagram(parse_pd(torus_pd(n)))
+                 for n in random.Random(27).sample(range(3, 202, 2), 25)]
+    diagrams += [build_diagram(parse_pd(pretzel_pd(t))) for t in seeded_pretzels(27, 30)]
+    checked = 0
+    for d in diagrams:
+        ref = reference_build_diagram(d.pd)
+        for p in dividing_primes(knot_determinant(d)):
+            for c in colorings(d, p, budget=0).basis:
+                assert fox_from_dehn(d, c) == _reference_fox(ref, c), (d.pd, p, c)
                 checked += classify(d, c) == NONTRIVIAL
     assert checked > 0
 
@@ -328,10 +374,11 @@ def test_sparse_builders_match_dense_definitions(catalog):
     diagrams += [build_diagram(parse_pd(pretzel_pd(t))) for t in seeded_pretzels(21, 20)]
     variants = set()
     for d in diagrams:
-        nreg = len(d.regions)
+        nreg = d.nregions
         _assert_sparse_of(coloring_matrix(d), dense_coloring_matrix(d), nreg)
         _assert_sparse_of(alexander_matrix_at_minus_one(d), dense_alexander_matrix(d), nreg)
-        _assert_sparse_of(fox_matrix(d), dense_fox_matrix(d), len(d.arcs))
+        _assert_sparse_of(fox_matrix(d), dense_fox_matrix(d),
+                          len(set(d.arc_of_semiarc.values())))
         for p in dividing_primes(knot_determinant(d)):
             # every coloring of a small diagram (6_2 and 6_3 give variant A),
             # the basis of a larger one

@@ -83,22 +83,22 @@ def test_parse_pd_rejects_links():
 
 
 def test_region_counts():
-    assert len(build_diagram(parse_pd(TREFOIL)).regions) == 5
-    assert len(build_diagram(parse_pd(FIG8_JSON)).regions) == 6
-    assert len(build_diagram(parse_pd(KINK)).regions) == 3
+    # the region count against the faces the reference walks
+    for text, count in ((TREFOIL, 5), (FIG8_JSON, 6), (KINK, 3)):
+        pd = parse_pd(text)
+        assert build_diagram(pd).nregions == len(reference_build_diagram(pd).regions) == count
 
 
 def test_arc_counts():
-    assert len(build_diagram(parse_pd(TREFOIL)).arcs) == 3
-    assert len(build_diagram(parse_pd(FIG8_JSON)).arcs) == 4
-    assert len(build_diagram(parse_pd(KINK)).arcs) == 1
+    for text, count in ((TREFOIL, 3), (FIG8_JSON, 4), (KINK, 1)):
+        assert len(set(build_diagram(parse_pd(text)).arc_of_semiarc.values())) == count
 
 
 def test_arcs_ordered_by_root_label():
     # over 4-5, 6-1 and 2-3: each pair joins into its second label, and arcs
     # are sorted by that root; output such as `fox` lists arcs in this order
-    arcs = build_diagram(parse_pd(TREFOIL)).arcs
-    assert arcs == (frozenset({1, 6}), frozenset({2, 3}), frozenset({4, 5}))
+    arc = build_diagram(parse_pd(TREFOIL)).arc_of_semiarc
+    assert arc == {1: 0, 6: 0, 2: 1, 3: 1, 4: 2, 5: 2}
 
 
 def test_components_join_direction():
@@ -129,8 +129,8 @@ def test_components_match_reachability():
 def test_semiarcs_border_two_regions():
     for text in (TREFOIL, FIG8_JSON, KINK):
         d = build_diagram(parse_pd(text))
-        region_of_dart = {dart: ri for ri, region in enumerate(d.regions)
-                          for dart in region}
+        faces = reference_build_diagram(d.pd).regions
+        region_of_dart = {dart: ri for ri, face in enumerate(faces) for dart in face}
         for s in d.pd.semiarcs():
             assert len(d.semiarc_regions(s)) == 2
             darts = sorted(dart for dart in region_of_dart
@@ -195,7 +195,7 @@ def test_checkerboard_refusals():
 def test_catalog_regions_and_names():
     for name in CATALOG:
         d = catalog_diagram(name)
-        assert len(d.regions) == d.n + 2
+        assert len(reference_build_diagram(d.pd).regions) == d.n + 2
         assert len(d.pd.semiarcs()) == 2 * d.n
 
 
@@ -223,22 +223,22 @@ def _relabeled(pd, rng):
     return PDCode(tuple(quads))
 
 
-# the views of a Diagram built on first read, and every public view
-LAZY = ("regions", "arcs", "arc_of_semiarc", "regions_of_semiarc")
-VIEWS = ("pd", "n", "relations") + LAZY
+# every public view of a Diagram but the semiarc regions, a method
+VIEWS = ("pd", "n", "relations", "arc_of_semiarc")
 
 
 def _assert_matches_reference(pd):
     ours, theirs = build_diagram(pd), reference_build_diagram(pd)
     for view in VIEWS:
         assert getattr(ours, view) == getattr(theirs, view), (view, pd)
+    assert ours.nregions == len(theirs.regions), pd
     for a in pd.semiarcs():
         assert ours.semiarc_regions(a) == theirs.semiarc_regions(a), (a, pd)
 
 
 def test_queries_on_relations_build_no_other_view():
     # det, color-count, mincol and certify read the relations and the
-    # region count alone; fox builds the arcs on first read and keeps them
+    # region count alone; fox builds the arc index on first read and keeps it
     d = build_diagram(parse_pd(torus_pd(51)))
     assert knot_determinant(d) == 51
     space = colorings(d, 3)
@@ -247,10 +247,10 @@ def test_queries_on_relations_build_no_other_view():
     aug = augmented_matrix(d, c)
     assert all(r.ok for r in rank_checks(aug))
     assert not extract_certificate(aug).violations
-    assert not set(LAZY) & set(vars(d))
+    assert set(vars(d)) == {"pd", "relations"}
     assert fox_colorings_count(d, 3) == 9
-    arcs = vars(d)["arcs"]
-    assert d.arcs is arcs and len(arcs) == 51
+    arc = vars(d)["arc_of_semiarc"]
+    assert d.arc_of_semiarc is arc and len(set(arc.values())) == 51
 
 
 def test_build_diagram_matches_reference():
