@@ -39,7 +39,6 @@ class AugmentedMatrix:
     variant: str
     base: SparseMatrix       # the n x (n+2) coloring matrix M
     extra_row: dict          # {column: nonzero}: e_0, or e_i - e_j
-    indices: tuple           # (0,) for variant A, (i, j) for variant B
     coloring: DehnColoring   # variant A: shifted so region 0 has color 0
 
     def full(self) -> SparseMatrix:
@@ -73,10 +72,10 @@ def augmented_matrix(d: Diagram, c: DehnColoring) -> AugmentedMatrix:
              None)
     if i is None:
         shifted = DehnColoring(p, tuple((v - c.values[0]) % p for v in c.values))
-        return AugmentedMatrix(VARIANT_A, base, {0: 1}, (0,), shifted)
+        return AugmentedMatrix(VARIANT_A, base, {0: 1}, shifted)
     v, s = classes[i]
     j = classes.index((v, 1 - s), i + 1)
-    return AugmentedMatrix(VARIANT_B, base, {i: 1, j: -1}, (i, j), c)
+    return AugmentedMatrix(VARIANT_B, base, {i: 1, j: -1}, c)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
-"""Dehn colorings of a diagram: solution space, classification, affine
-action, per-diagram minimum colors, the Fox correspondence, and the knot
+"""Dehn colorings of a diagram: solution space, classification,
+per-diagram minimum colors, the Fox correspondence, and the knot
 determinant."""
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ from math import prod
 
 from knotcol import exactalg
 from knotcol.diagram import Diagram, checkerboard
-from knotcol.exactalg import SparseMatrix, _require_odd_prime
+from knotcol.exactalg import SparseMatrix
 
 # the default cap of colorings(); perfbench/run.py also reads this name
 DEFAULT_BUDGET = 10 ** 6
@@ -84,7 +84,6 @@ class ColoringSpace:
 
 
 def colorings(d: Diagram, p: int, budget: int = DEFAULT_BUDGET) -> ColoringSpace:
-    _require_odd_prime(p)
     basis = exactalg.nullspace_mod_p(coloring_matrix(d), p)
     dim = len(basis)
     count = p ** dim
@@ -129,13 +128,6 @@ def classify(d: Diagram, c: DehnColoring) -> str:
     if any(v[x1] != v[x4] or v[x2] != v[x3] for x1, x2, x3, x4 in d.relations):
         return NONTRIVIAL
     return ONE_TRIVIAL if len(c.colors_used()) == 1 else TWO_TRIVIAL
-
-
-def affine_transform(c: DehnColoring, s: int, t: int) -> DehnColoring:
-    """Region-wise s*C + t; requires s invertible mod p."""
-    if s % c.p == 0:
-        raise ValueError("not a regular transformation: scale factor is 0 mod p")
-    return DehnColoring(c.p, tuple((s * v + t) % c.p for v in c.values))
 
 
 # most work `min_colors_diagram` takes on, counted as representatives times
@@ -223,7 +215,8 @@ def fox_from_dehn(d: Diagram, c: DehnColoring) -> tuple:
     for (a, b, cc, _), (x1, x2, x3, x4) in zip(d.pd.crossings, d.relations):
         for s, color in ((a, v[x1] + v[x2]), (cc, v[x3] + v[x4]), (b, v[x1] + v[x3])):
             i, color = arc[s], color % p
-            assert values[i] in (None, color), "arc color is not constant along the arc"
+            if values[i] not in (None, color):
+                raise NotAColoringError("arc color is not constant along the arc")
             values[i] = color
     return tuple(values)
 
@@ -238,7 +231,6 @@ def fox_matrix(d: Diagram) -> SparseMatrix:
 
 def fox_colorings_count(d: Diagram, p: int) -> int:
     """#Fox colorings, by rank of the arc relation system mod p."""
-    _require_odd_prime(p)
     return p ** (d.n - exactalg.rank_mod_p(fox_matrix(d), p))
 
 

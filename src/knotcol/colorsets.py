@@ -97,13 +97,6 @@ def canonical_affine(s, p: int) -> CanonicalSet:
     return CanonicalSet(p, canonical_affine_min(elems, p))
 
 
-def affine_equivalent(s1, s2, p: int) -> bool:
-    _require_odd_prime(p)
-    if len({x % p for x in s1}) != len({x % p for x in s2}):
-        return False
-    return canonical_affine(s1, p).elements == canonical_affine(s2, p).elements
-
-
 # The most subsets containing {0, 1}, and the largest pool of further
 # elements, that enumerate_classes takes on at k <= 7, scaled by (7/k)^3
 # above, as each subset costs O(k^3); p = 61 at k = 7 scans C(59, 5), ~5.0M

@@ -18,10 +18,6 @@ from math import gcd, prod
 from operator import mul
 
 
-class NotInvertibleError(ValueError):
-    pass
-
-
 class InvalidModulusError(ValueError):
     pass
 
@@ -72,14 +68,6 @@ def _require_odd_prime(p: int) -> None:
             f"below {PRIMALITY_LIMIT}")
     if not is_odd_prime(p):
         raise InvalidModulusError(f"invalid modulus: {p} is not an odd prime")
-
-
-def inv_mod_p(a: int, p: int) -> int:
-    """Inverse of a modulo an odd prime p."""
-    _require_odd_prime(p)
-    if a % p == 0:
-        raise NotInvertibleError(f"{a} is not invertible mod {p}")
-    return pow(a, -1, p)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from itertools import combinations, combinations_with_replacement
 
 from knotcol.coloring import DehnColoring, fox_from_dehn
 from knotcol.diagram import Diagram, components
-from knotcol.exactalg import _require_odd_prime, inv_mod_p
+from knotcol.exactalg import _require_odd_prime
 
 # The most pairs of sums, over all difference cliques, that palette_graph joins
 PAIR_LIMIT = 10**7
@@ -31,7 +31,8 @@ class PaletteGraph:
     edges: dict = field(init=False)  # (u, v) -> label 2^{-1}(u+v)
 
     def __post_init__(self, pairs):
-        vertices, half = self.vertices, inv_mod_p(2, self.p)
+        _require_odd_prime(self.p)
+        vertices, half = self.vertices, (self.p + 1) // 2
         edges = {}
         for u, v in pairs:
             if u >= v:

@@ -70,7 +70,7 @@ def test_variant_a_shifts_region0_to_zero(catalog):
                 if aug.variant == VARIANT_A:
                     seen_a = True
                     assert aug.coloring.values[0] == 0
-                    assert aug.indices == (0,)
+                    assert aug.extra_row == {0: 1}
                     assert classify(d, aug.coloring) == NONTRIVIAL
     assert seen_a, "no variant-A instance in the whole catalog"
 
@@ -185,7 +185,7 @@ def test_certificate_matches_exhaustive_scan(catalog):
 def test_certificate_error_below_full_rank():
     # a base with no rows leaves only the unit row: the merged matrix has
     # rank 1, below ell - 1 = 2, so no nonsingular 2-minor exists
-    aug = AugmentedMatrix(VARIANT_A, SparseMatrix([], 3), {0: 1}, (0,),
+    aug = AugmentedMatrix(VARIANT_A, SparseMatrix([], 3), {0: 1},
                           DehnColoring(3, (0, 1, 2)))
     assert merge_columns(aug) == [[1, 0, 0]]
     with pytest.raises(CertificateError, match="no nonsingular submatrix"):

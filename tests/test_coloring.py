@@ -28,7 +28,6 @@ from knotcol.coloring import (
     NotAColoringError,
     _affine_representatives,
     _span,
-    affine_transform,
     alexander_matrix_at_minus_one,
     checkerboard_coloring,
     classify,
@@ -45,6 +44,7 @@ from knotcol.coloring import (
 from knotcol.diagram import (
     CATALOG,
     CATALOG_DETERMINANTS,
+    Diagram,
     PDCode,
     build_diagram,
     catalog_diagram,
@@ -132,17 +132,15 @@ def test_dehn_coloring_requires_residues(trefoil):
 
 
 def test_affine_transform(trefoil):
+    # the image 2C + 1 of a nontrivial coloring is a nontrivial coloring
+    # with as many colors; mincol's scan of one representative per affine
+    # class rests on this
     nontriv = next(c for c in colorings(trefoil, 3).enumerated
                    if classify(trefoil, c) == NONTRIVIAL)
-    assert affine_transform(nontriv, 1, 0) == nontriv
-    moved = affine_transform(nontriv, 2, 1)
+    moved = DehnColoring(3, tuple((2 * v + 1) % 3 for v in nontriv.values))
     assert is_valid_coloring(trefoil, moved)
     assert classify(trefoil, moved) == NONTRIVIAL
     assert len(moved.colors_used()) == len(nontriv.colors_used())
-    assert moved.colors_used() == frozenset((2 * v + 1) % 3
-                                            for v in nontriv.colors_used())
-    with pytest.raises(ValueError):
-        affine_transform(nontriv, 0, 1)
 
 
 def test_min_colors(trefoil, fig8):
@@ -300,6 +298,24 @@ def test_fox_from_dehn(trefoil, catalog):
                 assert all(sum(a * x for a, x in zip(row, f)) % p == 0
                            for row in fox_rows), (d.pd, p, c)
                 checked += classify(d, c) == NONTRIVIAL
+    assert checked > 0
+
+
+@pytest.mark.parametrize("name, p", [("3_1", 3), ("4_1", 5), ("5_2", 7)])
+def test_fox_from_dehn_refuses_arc_of_two_colors(catalog, name, p):
+    # with slots x2 and x4 swapped every relation x1 + x3 = x2 + x4 still
+    # holds, so every coloring stays valid, but the incoming under semiarc
+    # reads x1 + x4: each coloring of more than one color gives some arc
+    # two colors, which fox_from_dehn refuses also under python -O
+    d = catalog[name]
+    swapped = Diagram(d.pd, tuple((x1, x4, x3, x2) for x1, x2, x3, x4 in d.relations))
+    checked = 0
+    for c in colorings(d, p).enumerated:
+        assert is_valid_coloring(swapped, c)
+        if len(c.colors_used()) > 1:
+            with pytest.raises(NotAColoringError, match="^arc color is not constant"):
+                fox_from_dehn(swapped, c)
+            checked += 1
     assert checked > 0
 
 

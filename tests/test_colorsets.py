@@ -10,7 +10,6 @@ from knotcol.exactalg import InvalidModulusError
 from knotcol.colorsets import (
     EXPECTED_CANDIDATES,
     ODD_PRIMES_BELOW_32,
-    affine_equivalent,
     canonical_affine,
     candidates,
     enumerate_classes,
@@ -44,14 +43,15 @@ def test_canonical_constant_on_orbit():
 
 
 def test_affine_equivalent():
-    assert affine_equivalent({0, 1, 2}, {3, 5, 7}, 11)
-    assert not affine_equivalent({0, 1, 2}, {0, 1, 3}, 7)
-    assert not affine_equivalent({0, 1}, {0, 1, 2}, 7)
+    # two sets are affinely equivalent when their canonical forms agree
+    assert canonical_affine({0, 1, 2}, 11) == canonical_affine({3, 5, 7}, 11)
+    assert canonical_affine({0, 1, 2}, 7) != canonical_affine({0, 1, 3}, 7)
+    assert canonical_affine({0, 1}, 7) != canonical_affine({0, 1, 2}, 7)
     # the modulus is checked before anything is reduced by it
     with pytest.raises(InvalidModulusError):
-        affine_equivalent([1], [2], 0)
+        canonical_affine([1], 0)
     with pytest.raises(InvalidModulusError):
-        affine_equivalent([1, 2], [2, 5, 7], 4)
+        canonical_affine([1, 2], 4)
 
 
 def test_enumerate_classes_partition_counts():

@@ -16,42 +16,54 @@ from knotcol.coloring import (
     fox_colorings_count,
     fox_matrix,
     knot_determinant,
+    min_colors_diagram,
 )
-from knotcol.diagram import build_diagram, parse_pd
+from knotcol.colorsets import candidates, canonical_affine, enumerate_classes
+from knotcol.diagram import build_diagram, catalog_diagram, parse_pd
 from knotcol.exactalg import (
     InvalidModulusError,
-    NotInvertibleError,
     PRIMALITY_LIMIT,
     SparseMatrix,
     _require_odd_prime,
     det_bareiss_small,
     det_int,
-    inv_mod_p,
     is_odd_prime,
     nullspace_mod_p,
     rank_int,
     rank_mod_p,
     smith_invariant_factors,
 )
-
-
-def test_inv_mod_p_examples():
-    assert inv_mod_p(2, 7) == 4
-    assert inv_mod_p(2, 5) == 3
-
-
-def test_inv_mod_p_zero_not_invertible():
-    with pytest.raises(NotInvertibleError):
-        inv_mod_p(0, 5)
-    # the message names the value passed, not its residue
-    with pytest.raises(NotInvertibleError, match=r"^14 is not invertible mod 7$"):
-        inv_mod_p(14, 7)
+from knotcol.palette import PaletteGraph, palette_graph
 
 
 @pytest.mark.parametrize("p", [1, 2, 4, 9, 15])
 def test_invalid_modulus(p):
-    with pytest.raises(InvalidModulusError):
-        inv_mod_p(1, p)
+    with pytest.raises(InvalidModulusError, match="not an odd prime"):
+        _require_odd_prime(p)
+
+
+_TREFOIL = catalog_diagram("3_1")
+# each public entry point that takes a modulus, called with only p varying
+_TAKES_MODULUS = {
+    "rank_mod_p": lambda p: rank_mod_p([[1, 0], [0, 1]], p),
+    "ranks_appending": lambda p: exactalg.ranks_appending([[1, 0]], [[0, 1]], p),
+    "nullspace_mod_p": lambda p: nullspace_mod_p([[1, 1]], p),
+    "colorings": lambda p: colorings(_TREFOIL, p),
+    "min_colors_diagram": lambda p: min_colors_diagram(_TREFOIL, p),
+    "fox_colorings_count": lambda p: fox_colorings_count(_TREFOIL, p),
+    "canonical_affine": lambda p: canonical_affine([0, 1, 2], p),
+    "enumerate_classes": lambda p: enumerate_classes(p, 3),
+    "candidates": lambda p: candidates(p, 3),
+    "palette_graph": lambda p: palette_graph([0, 1, 2], p),
+    "PaletteGraph": lambda p: PaletteGraph(p, frozenset(), ()),
+}
+
+
+@pytest.mark.parametrize("p", [-3, 0, 1, 2, 4, 9, 15])
+@pytest.mark.parametrize("entry", sorted(_TAKES_MODULUS))
+def test_entry_points_refuse_invalid_modulus(entry, p):
+    with pytest.raises(InvalidModulusError, match="not an odd prime"):
+        _TAKES_MODULUS[entry](p)
 
 
 def _odd_prime_by_trial_division(n):

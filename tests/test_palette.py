@@ -23,6 +23,7 @@ from knotcol.coloring import (
 )
 from knotcol.colorsets import ODD_PRIMES_BELOW_32, enumerate_classes
 from knotcol.diagram import catalog_diagram, components
+from knotcol.exactalg import InvalidModulusError
 from knotcol.palette import (
     NO_WITNESS,
     PAIR_LIMIT,
@@ -169,6 +170,9 @@ def test_diagram_palette_trivial_coloring():
     g = palette_graph_of_diagram(d, DehnColoring(3, (1,) * 5))
     assert len(g.vertices) == 1
     assert not g.edges
+    # a coloring is not checked for a prime modulus, its palette graph is
+    with pytest.raises(InvalidModulusError, match="9 is not an odd prime"):
+        palette_graph_of_diagram(d, DehnColoring(9, (1,) * 5))
 
 
 def test_diagram_palette_theorem_over_catalog(catalog):
