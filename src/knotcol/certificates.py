@@ -51,7 +51,6 @@ class Certificate:
     row_indices: tuple
     col_indices: tuple
     det_value: int
-    star_rows_ok: tuple      # per selected row of the submatrix
     violations: tuple        # human-readable invariant violations, if any
 
 
@@ -155,10 +154,9 @@ def extract_certificate(aug: AugmentedMatrix) -> Certificate:
         violations.append(
             f"|det| = {abs(det)} outside [{p}, 2^{k} = {2 ** k}]"
         )
-    star = tuple(check_star(sub))
-    if not all(star):
+    if not all(check_star(sub)):
         violations.append("a selected row violates the multiset condition")
-    return Certificate(ell, rsel, cols, det, star, tuple(violations))
+    return Certificate(ell, rsel, cols, det, tuple(violations))
 
 
 # admissible nonzero-entry multisets; rows drawn from these keep the

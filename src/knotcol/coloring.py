@@ -32,9 +32,6 @@ class DehnColoring:
         if self.values and (min(self.values) < 0 or max(self.values) >= self.p):
             raise ValueError(f"coloring values must be residues mod {self.p}")
 
-    def colors_used(self) -> frozenset:
-        return frozenset(self.values)
-
 
 def _sparse_row(*terms) -> dict:
     """The sum of the terms (column, coefficient) as a row {column:
@@ -127,7 +124,7 @@ def classify(d: Diagram, c: DehnColoring) -> str:
     v = c.values
     if any(v[x1] != v[x4] or v[x2] != v[x3] for x1, x2, x3, x4 in d.relations):
         return NONTRIVIAL
-    return ONE_TRIVIAL if len(c.colors_used()) == 1 else TWO_TRIVIAL
+    return ONE_TRIVIAL if len(set(v)) == 1 else TWO_TRIVIAL
 
 
 # most work `min_colors_diagram` takes on, counted as representatives times

@@ -174,7 +174,7 @@ EXPECTED_CANDIDATES = {
     31: [(0, 1, 2, 4, 8, 16)],
 }
 
-ODD_PRIMES_BELOW_32 = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+ODD_PRIMES_BELOW_32 = tuple(EXPECTED_CANDIDATES)
 
 
 @dataclass(frozen=True)

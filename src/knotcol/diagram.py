@@ -40,9 +40,6 @@ class PDCode:
     def n(self) -> int:
         return len(self.crossings)
 
-    def semiarcs(self):
-        return sorted({a for q in self.crossings for a in q})
-
     @cached_property
     def _darts(self):
         """The label of each dart, the other dart of its semiarc, and each

@@ -20,6 +20,11 @@ from knotcol.diagram import (
 )
 
 
+def semiarcs(pd):
+    """The semiarc labels of a PD code, sorted."""
+    return sorted({a for q in pd.crossings for a in q})
+
+
 def dense(m):
     """The dense integer rows of a SparseMatrix, the one conversion the
     tests make when an oracle needs indexed entries."""
@@ -337,7 +342,7 @@ def reference_validate_pd(pd):
 def _reference_require_single_component(pd):
     # strand continuation joins positions 0-2 (under) and 1-3 (over)
     pairs = (pair for a, b, c, d in pd.crossings for pair in ((a, c), (b, d)))
-    roots = set(components(pd.semiarcs(), pairs).values())
+    roots = set(components(semiarcs(pd), pairs).values())
     if len(roots) != 1:
         raise PDError(
             f"PD code describes a link with {len(roots)} components; only knots are supported"
@@ -400,7 +405,7 @@ def reference_build_diagram(pd):
             region_of_dart[d] = ri
 
     # over-arcs: semiarcs at positions 1 and 3 of a crossing belong to one arc
-    labels = pd.semiarcs()
+    labels = semiarcs(pd)
     root = components(labels, ((quad[1], quad[3]) for quad in pd.crossings))
     groups = {}
     for a in labels:

@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 from itertools import combinations
 
@@ -140,7 +141,6 @@ def test_certificate_catalog(catalog):
                 assert cert.det_value != 0
                 assert cert.det_value % p == 0
                 assert p <= abs(cert.det_value) <= 2 ** (ell - 1)
-                assert all(cert.star_rows_ok)
                 assert not cert.violations
                 # the bound chain forces #colors >= log2 p + 1
                 assert 2 ** (ell - 1) >= p
@@ -192,11 +192,31 @@ def test_certificate_error_below_full_rank():
         extract_certificate(aug)
 
 
+def test_certificate_violations(trefoil):
+    # the one row 3 e_0 - 3 e_1 merges to the 1-minor (3): p divides it, but
+    # it exceeds 2^1 and its entry is no admissible multiset
+    aug = AugmentedMatrix(VARIANT_A, SparseMatrix([{0: 3, 1: -3}], 2), {0: 1},
+                          DehnColoring(3, (0, 1)))
+    cert = extract_certificate(aug)
+    assert cert.det_value == 3
+    assert cert.violations == ("|det| = 3 outside [3, 2^1 = 2]",
+                               "a selected row violates the multiset condition")
+    # the trefoil's 3-coloring read mod 5: the same (*) rows and det -3,
+    # which 5 does not divide and which lies below 5
+    aug = augmented_matrix(trefoil, nontrivial_colorings(trefoil, 3)[0])
+    assert not extract_certificate(aug).violations
+    aug = dataclasses.replace(aug, coloring=DehnColoring(5, aug.coloring.values))
+    cert = extract_certificate(aug)
+    assert cert.det_value == -3
+    assert cert.violations == ("det -3 not divisible by p=5",
+                               "|det| = 3 outside [5, 2^2 = 4]")
+
+
 def test_certificate_forced_values(trefoil, fig8):
     c3 = nontrivial_colorings(trefoil, 3)[0]
     assert abs(extract_certificate(augmented_matrix(trefoil, c3)).det_value) == 3
     c5 = next(c for c in nontrivial_colorings(fig8, 5)
-              if len(c.colors_used()) == 4)
+              if len(set(c.values)) == 4)
     assert abs(extract_certificate(augmented_matrix(fig8, c5)).det_value) == 5
 
 
