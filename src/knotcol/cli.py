@@ -24,7 +24,7 @@ from knotcol import certificates, colorsets, palette
 from knotcol.coloring import (
     NONTRIVIAL,
     classify,
-    coloring_matrix,
+    coloring_dimension,
     colorings,
     fox_colorings_count,
     fox_from_dehn,
@@ -32,7 +32,6 @@ from knotcol.coloring import (
     min_colors_diagram,
 )
 from knotcol.diagram import CATALOG, build_diagram, catalog_diagram, parse_pd
-from knotcol.exactalg import rank_mod_p
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -58,9 +57,7 @@ def _jsonify(doc) -> str:
 
 
 def cmd_color_count(args):
-    d = _get_diagram(args)
-    # the solution space of the coloring matrix, one column per region
-    dim = d.nregions - rank_mod_p(coloring_matrix(d), args.p)
+    dim = coloring_dimension(_get_diagram(args), args.p)
     doc = {"p": args.p, "dimension": dim, "count": args.p ** dim}
     return EXIT_OK, doc, [f"{key} = {doc[key]}" for key in ("p", "dimension", "count")]
 

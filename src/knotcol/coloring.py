@@ -1,6 +1,11 @@
 """Dehn colorings of a diagram: solution space, classification,
 per-diagram minimum colors, the Fox correspondence, and the knot
-determinant."""
+determinant.
+
+The coloring spaces, their dimensions and the knot determinant are solved
+on the Goeritz matrix of the checkerboard class with fewer regions, at most
+(n + 2) / 2 rows where the coloring matrix has n.  The coloring matrix
+stays for the certificates' rank checks."""
 
 from __future__ import annotations
 
@@ -46,7 +51,8 @@ def _sparse_row(*terms) -> dict:
 def coloring_matrix(d: Diagram) -> SparseMatrix:
     """The crossing relations x1 - x2 + x3 - x4 = 0, one row per crossing
     and one column per region: n x (n+2), at most 4 nonzeros a row.  At a
-    kink two quadrants are one region, and their entries merge or cancel."""
+    kink two quadrants are one region, and their entries merge or cancel.
+    The certificates augment it; the colorings are solved on `_goeritz`."""
     rows = []
     for x1, x2, x3, x4 in d.relations:
         if len({x1, x2, x3, x4}) == 4:
@@ -80,17 +86,109 @@ class ColoringSpace:
     enumerated: tuple  # all colorings, or () when count exceeds the budget
 
 
+def _goeritz(d: Diagram, shading: tuple):
+    """The regions S of the checkerboard class with fewer regions (shade 0
+    on a tie), in increasing order; the Goeritz matrix G of S, |S| x |S|,
+    its rows and columns in that order; and each crossing relation as
+    regions (s, t, u, v) with s and t in S.
+
+    x1 + x3 = x2 + x4 reads x1 - x4 = x2 - x3, and x1, x4 share a shade, as
+    do x2, x3.  So for colors y on S and z on the other class U, each
+    relation says y(s) - y(t) = z(u) - z(v): (s, t, u, v) is (x1, x4, x2,
+    x3) when S holds x1, else (x2, x3, x1, x4).  The pairs (u, v) are the
+    edges of the Tait graph of U, whose faces are the regions of S, so z
+    exists exactly when the differences y(s) - y(t) sum to 0 around every
+    face.  Clockwise around the face of s they sum to row s of G y, where G
+    is the sum of eps (e_s - e_t)(e_s - e_t)^T over the relations with
+    s != t, eps = +1 when S holds x1 and -1 when it holds x2 (Goeritz,
+    1933).  The sign differs between the crossings of a non-alternating
+    diagram only.
+    """
+    side = int(2 * sum(shading) < len(shading))
+    regions = [r for r, shade in enumerate(shading) if shade == side]
+    pairs = []
+    weight = {}  # (s, t) -> the sum of eps over its relations
+    for x1, x2, x3, x4 in d.relations:
+        if shading[x1] == side:
+            pairs.append((x1, x4, x2, x3))
+            if x1 != x4:
+                weight[x1, x4] = weight.get((x1, x4), 0) + 1
+        else:
+            pairs.append((x2, x3, x1, x4))
+            if x2 != x3:
+                weight[x2, x3] = weight.get((x2, x3), 0) - 1
+    index = dict(zip(regions, range(len(regions))))
+    rows = [{} for _ in regions]
+    for (s, t), w in weight.items():
+        i, j = index[s], index[t]
+        for a, b, v in ((i, i, w), (j, j, w), (i, j, -w), (j, i, -w)):
+            rows[a][b] = rows[a].get(b, 0) + v
+    rows = [{j: v for j, v in r.items() if v} for r in rows]
+    return regions, SparseMatrix(rows, len(regions)), pairs
+
+
 def colorings(d: Diagram, p: int, budget: int = DEFAULT_BUDGET) -> ColoringSpace:
-    basis = exactalg.nullspace_mod_p(coloring_matrix(d), p)
+    """The Dehn colorings of d mod p: the reduced echelon basis that
+    `nullspace_mod_p` gives for the coloring matrix, its length dim, the
+    count p^dim, and, when the count is at most budget, every coloring in
+    `_span` order.
+
+    A coloring is y on S with G y = 0 mod p, for S and G of `_goeritz`,
+    extended to U along a spanning tree of the Tait graph of U, plus a
+    constant on U.  So the null vectors of G, so extended, and the vector
+    that is 1 on U and 0 on S span the colorings, and the basis is read off
+    them with the canonical step of `nullspace_mod_p`.
+    """
+    exactalg._require_odd_prime(p)
+    return _coloring_space(d, p, budget, checkerboard(d))
+
+
+def _coloring_space(d: Diagram, p: int, budget: int, shading: tuple) -> ColoringSpace:
+    """`colorings` of d, its checkerboard shading given."""
+    regions, g, pairs = _goeritz(d, shading)
+    nreg = d.nregions
+    # the Tait graph of U grown breadth first from its first region into a
+    # spanning tree of (region, parent, a, b): z(region) = z(parent) + y(a) - y(b)
+    near = [[] for _ in range(nreg)]
+    for s, t, u, v in pairs:
+        if u != v:
+            near[u].append((v, t, s))
+            near[v].append((u, s, t))
+    order = [shading.index(1 - shading[regions[0]])]
+    seen = set(order)
+    tree = []
+    for u in order:
+        for v, a, b in near[u]:
+            if v not in seen:
+                seen.add(v)
+                order.append(v)
+                tree.append((v, u, a, b))
+    last = nreg - 1
+    vectors = [{last - r: 1 for r in order}]  # coordinates reversed
+    for y in exactalg.nullspace_mod_p(g, p):
+        x = [0] * nreg
+        for r, c in zip(regions, y):
+            x[r] = c
+        for v, u, a, b in tree:
+            x[v] = (x[u] + x[a] - x[b]) % p
+        vectors.append({last - r: c for r, c in enumerate(x) if c})
+    basis = exactalg._canonical_basis(vectors, nreg, p)
     dim = len(basis)
     count = p ** dim
     enumerated = ()
     if count <= budget:
         enumerated = tuple(
-            DehnColoring(p, v) for v in _span(basis, p, d.nregions)
+            DehnColoring(p, v) for v in _span(basis, p, nreg)
         )
     return ColoringSpace(p, tuple(DehnColoring(p, b) for b in basis),
                          dim, count, enumerated)
+
+
+def coloring_dimension(d: Diagram, p: int) -> int:
+    """The dimension of the Dehn colorings mod p, 1 + |S| - rank_p(G) for S
+    and G of `_goeritz`: the null space of G, and a constant on U."""
+    regions, g, _ = _goeritz(d, checkerboard(d))
+    return 1 + len(regions) - exactalg.rank_mod_p(g, p)
 
 
 def _span(basis, p, width):
@@ -166,14 +264,14 @@ def min_colors_diagram(d: Diagram, p: int) -> MinColorsResult:
     has t = 0 (region 0 is unshaded) and s = 1.  Refuses, with ValueError,
     a scan whose representatives times regions exceed MINCOL_SCAN_LIMIT.
     """
-    space = colorings(d, p, budget=0)
+    shading = checkerboard(d)
+    space = _coloring_space(d, p, 0, shading)
     nreg = d.nregions
     size = (p ** (space.dimension - 1) - 1) // (p - 1)
     if size * nreg > MINCOL_SCAN_LIMIT:
         raise ValueError(f"mincol scan too large: {size} affine classes of "
                          f"{nreg} regions at p = {p}, {size * nreg} over the "
                          f"limit {MINCOL_SCAN_LIMIT}")
-    shading = checkerboard(d)
     reps = _affine_representatives(space, p, nreg)
     best = min(((len(set(v)), v) for v in reps if v != shading), default=None)
     bound = theorem_lower_bound(p)
@@ -238,22 +336,23 @@ def alexander_matrix_at_minus_one(d: Diagram) -> SparseMatrix:
 
 
 def knot_determinant(d: Diagram) -> int:
-    """det(K), the gcd of the (n+1)-minors of A = A_D(-1), read off the
-    pivots of the one Euclid elimination of A over Z that `rank_int` runs.
+    """det(K) = |det G'|, G' the Goeritz matrix G of `_goeritz` without its
+    last row and column (Goeritz, 1933; Gordon and Litherland, 1978, for
+    every diagram, with the signs of `_goeritz`), read off the pivots of
+    the one Euclid elimination of G' over Z that `rank_int` runs.
 
-    For a knot, A is (n+1) x (n+2) with rank n+1.  Its kernel over Q is
-    then spanned by the 0/1 checkerboard shading, which is a coloring with
-    region 0 unshaded, so A kills it.  By Cramer's rule the vector of
-    signed maximal minors lies in that kernel: it is mu * shading, and the
-    gcd of the minors is |mu|.  The elimination adds integer multiples of
-    rows to other rows and renames the columns, which keeps each maximal
-    minor up to sign and order.  Its n+1 pivot rows are in echelon form,
-    so their minor that drops the one non-pivot column is the product of
-    the pivot entries.  That minor is nonzero, so it is +-mu = +-det(K).
-    A rank below n+1, as on the diagram of a split link, makes every
-    maximal minor 0.
+    G' is square, of order k = |S| - 1.  The elimination adds integer
+    multiples of rows to other rows, which keeps the determinant, and
+    renames the columns, which changes at most its sign.  It leaves each
+    pivot row at its own index.  With k pivots, in k distinct columns, the
+    pivot rows are then a triangular matrix up to the order of its rows and
+    columns, and |det G'| is the product of the |pivot entries|; fewer
+    pivots mean det G' = 0.  The empty G' of |S| = 1 has determinant 1.
     """
-    pivots = exactalg._echelon(alexander_matrix_at_minus_one(d))[0]
-    if len(pivots) <= d.n:
+    regions, g, _ = _goeritz(d, checkerboard(d))
+    k = len(regions) - 1
+    minor = SparseMatrix([{j: v for j, v in r.items() if j < k} for r in g.rows[:k]], k)
+    pivots = exactalg._echelon(minor)[0]
+    if len(pivots) < k:
         return 0
     return abs(prod(r[c] for c, r in pivots.items()))

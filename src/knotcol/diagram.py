@@ -87,20 +87,37 @@ def parse_pd(text: str) -> PDCode:
                 raise PDError(f"non-integer semiarc label in {q}")
         quads = tuple(map(tuple, data))
     else:
-        found = re.findall(r"X\s*\[([^\]]*)\]", text)
-        if not found or re.sub(r"X\s*\[[^\]]*\]|[\s,;]", "", text):
-            raise PDError("cannot parse PD text")
-        quads = []
+        # the text between the groups, then the 4 labels of each group
+        parts = re.split(_PD_QUAD, text)
+        try:
+            if len(parts) == 1 or not re.fullmatch(r"[\s,;]*", "".join(parts[::5])):
+                raise ValueError
+            del parts[::5]
+            labels = list(map(int, parts))
+        except ValueError:
+            raise _pd_text_refusal(text) from None
+        quads = tuple(zip(*[iter(labels)] * 4))
+    return validate_pd(PDCode(quads))
+
+
+# one X[a,b,c,d] group, its four labels captured; `re` compiles it on
+# first use, so importing the module compiles nothing
+_PD_QUAD = r"X\s*\[([^\],]*),([^\],]*),([^\],]*),([^\],]*)\]"
+
+
+def _pd_text_refusal(text: str) -> PDError:
+    """Why `parse_pd` cannot read text as X[a,b,c,d] groups of integers:
+    the first group that is not 4 integers, or else the text as a whole."""
+    found = re.findall(r"X\s*\[([^\]]*)\]", text)
+    if found and not re.sub(r"X\s*\[[^\]]*\]|[\s,;]", "", text):
         for grp in found:
             try:
                 q = list(map(int, grp.split(",")))
             except ValueError:
-                raise PDError(f"non-integer semiarc label in X[{grp}]") from None
+                return PDError(f"non-integer semiarc label in X[{grp}]")
             if len(q) != 4:
-                raise PDError(f"crossing {q} does not have 4 semiarc labels")
-            quads.append(tuple(q))
-        quads = tuple(quads)
-    return validate_pd(PDCode(quads))
+                return PDError(f"crossing {q} does not have 4 semiarc labels")
+    return PDError("cannot parse PD text")
 
 
 def _cycles(succ):

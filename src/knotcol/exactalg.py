@@ -314,7 +314,17 @@ def nullspace_mod_p(m, p: int) -> list:
             r = pivots[c]
             x[c] = -sum(map(mul, r.values(), map(x.__getitem__, r))) % p
         solved.append(dict(zip(compress(reverse, x), filter(None, x))))
-    canon = _eliminate_rows(solved, p, reduced=True)
+    return _canonical_basis(solved, ncols, p)
+
+
+def _canonical_basis(vectors, ncols, p) -> list:
+    """The reduced echelon basis of the span over Z_p of vectors of length
+    ncols, each given as a dict {ncols - 1 - j: nonzero x_j}, that is, with
+    its coordinates reversed; it is the basis `nullspace_mod_p` returns
+    when the span is a null space.  One reduced elimination of the
+    reversed vectors puts the pivots at the last nonzero positions, and the
+    basis is read off it in increasing order of those."""
+    canon = _eliminate_rows(vectors, p, reduced=True)
     basis = []
     for c in sorted(canon, reverse=True):
         v = [0] * ncols

@@ -2,15 +2,21 @@
 check."""
 
 import random
+import re
 from dataclasses import dataclass
 from itertools import combinations, product
-from math import gcd
+from math import gcd, prod
 from types import SimpleNamespace
 
 import pytest
 
+from knotcol import exactalg
 from knotcol.certificates import STAR_MULTISETS
-from knotcol.coloring import DehnColoring, is_valid_coloring
+from knotcol.coloring import (
+    DehnColoring,
+    alexander_matrix_at_minus_one,
+    is_valid_coloring,
+)
 from knotcol.diagram import (
     CATALOG,
     PDError,
@@ -48,6 +54,29 @@ def dense_coloring_matrix(d):
 def dense_alexander_matrix(d):
     """A_D(-1): the coloring matrix with the unit row e_0 below it."""
     return dense_coloring_matrix(d) + [[1] + [0] * (d.nregions - 1)]
+
+
+def alexander_determinant(d):
+    """det(K), the gcd of the (n+1)-minors of A = A_D(-1), read off the
+    pivots of the one Euclid elimination of A over Z that `rank_int` runs:
+    the reference that `knot_determinant` must equal.
+
+    For a knot, A is (n+1) x (n+2) with rank n+1.  Its kernel over Q is
+    then spanned by the 0/1 checkerboard shading, which is a coloring with
+    region 0 unshaded, so A kills it.  By Cramer's rule the vector of
+    signed maximal minors lies in that kernel: it is mu * shading, and the
+    gcd of the minors is |mu|.  The elimination adds integer multiples of
+    rows to other rows and renames the columns, which keeps each maximal
+    minor up to sign and order.  Its n+1 pivot rows are in echelon form,
+    so their minor that drops the one non-pivot column is the product of
+    the pivot entries.  That minor is nonzero, so it is +-mu = +-det(K).
+    A rank below n+1, as on the diagram of a split link, makes every
+    maximal minor 0.
+    """
+    pivots = exactalg._echelon(alexander_matrix_at_minus_one(d))[0]
+    if len(pivots) <= d.n:
+        return 0
+    return abs(prod(r[c] for c, r in pivots.items()))
 
 
 def dense_fox_matrix(d):
@@ -318,6 +347,16 @@ def pretzel_pd(twists):
     return " ".join(
         "X[" + ",".join(str(labels[quad[(start[ci] + r) % 4]]) for r in range(4)) + "]"
         for ci, quad in enumerate(quads))
+
+
+def change_crossings(pd_text, which):
+    """The PD text with the crossings at the indices in `which` changed:
+    X[a,b,c,d] rotated one place to X[b,c,d,a], which keeps the corners in
+    their order and swaps the over and under strands."""
+    which = set(which)
+    quads = [grp.split(",") for grp in re.findall(r"X\[([^\]]*)\]", pd_text)]
+    return " ".join("X[" + ",".join(q[1:] + q[:1] if i in which else q) + "]"
+                    for i, q in enumerate(quads))
 
 
 def reference_validate_pd(pd):

@@ -6,8 +6,10 @@ import pytest
 
 from conftest import (
     ODD_PRIMES,
+    alexander_determinant,
     brute_dehn_colorings,
     brute_fox_count,
+    change_crossings,
     dense_alexander_matrix,
     dense_augmented_matrix,
     dense_coloring_matrix,
@@ -31,6 +33,7 @@ from knotcol.coloring import (
     alexander_matrix_at_minus_one,
     checkerboard_coloring,
     classify,
+    coloring_dimension,
     coloring_matrix,
     colorings,
     fox_colorings_count,
@@ -433,6 +436,33 @@ def test_knot_determinant_matches_smith_and_closed_forms(catalog):
     for d, det in cases:
         factors = exactalg.smith_invariant_factors(alexander_matrix_at_minus_one(d))
         assert knot_determinant(d) == prod(factors[:d.n + 1]) == det, d.pd
+
+
+def test_goeritz_route_matches_coloring_matrix():
+    # colorings, coloring_dimension and knot_determinant solve the Goeritz
+    # matrix of one checkerboard class; the coloring matrix M and A_D(-1)
+    # are the oracles.  The catalog, T(2, n) and positive pretzels are
+    # alternating, so every crossing of one has the same sign in G; the
+    # crossing-changed diagrams are not, and a wrong sign shows on them
+    texts = [*CATALOG.values(), *map(torus_pd, (3, 5, 9, 15, 21, 27))]
+    texts += [pretzel_pd(t) for t in seeded_pretzels(30, 10)]
+    rng = random.Random(30)
+    changed = []
+    for _ in range(120):
+        text = rng.choice(texts)
+        n = text.count("X")
+        changed.append(change_crossings(text, rng.sample(range(n), rng.randrange(1, n))))
+    diagrams = [build_diagram(parse_pd(t)) for t in texts + changed]
+    diagrams += [build_diagram(parse_pd("X[1,2,2,1]")), build_diagram(PDCode(((1, 1, 2, 2),)))]
+    signs = [{checkerboard(d)[x1] for x1, _, _, _ in d.relations} for d in diagrams]
+    assert sum(len(s) == 2 for s in signs) == len(changed)
+    for d in diagrams:
+        assert knot_determinant(d) == alexander_determinant(d), d.pd
+        m = coloring_matrix(d)
+        for p in (3, 5, 7, 11, 101):
+            basis = [c.values for c in colorings(d, p, budget=0).basis]
+            assert basis == exactalg.nullspace_mod_p(m, p), (d.pd, p)
+            assert coloring_dimension(d, p) == d.nregions - exactalg.rank_mod_p(m, p), (d.pd, p)
 
 
 def test_rank_statements_trefoil(trefoil):

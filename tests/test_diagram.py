@@ -72,6 +72,25 @@ def test_parse_pd_names_a_non_integer_text_label():
         parse_pd("X[1,2,3,4] X[1,,2,3]")
 
 
+@pytest.mark.parametrize("text,message", [
+    ("X[1,2,3]", "crossing [1, 2, 3] does not have 4 semiarc labels"),
+    ("X[1,4,2,5] X[3,6,4,1,7]", "crossing [3, 6, 4, 1, 7] does not have 4 semiarc labels"),
+    ("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]; X[1, 2]",
+     "crossing [1, 2] does not have 4 semiarc labels"),
+    ("X[a,1,2,3]", "non-integer semiarc label in X[a,1,2,3]"),
+    ("X[1,2,3,4,]", "non-integer semiarc label in X[1,2,3,4,]"),
+    ("X[X[1,2,3,4]", "non-integer semiarc label in X[X[1,2,3,4]"),
+    # the first group that is not 4 integers is the one named
+    ("X[1,2] X[a,b,c,d]", "crossing [1, 2] does not have 4 semiarc labels"),
+    ("X[a,b,c,d] X[1,2]", "non-integer semiarc label in X[a,b,c,d]"),
+    ("X[1,4,2,5] junk", "cannot parse PD text"),
+    (" ,; ", "cannot parse PD text"),
+])
+def test_parse_pd_text_refusals(text, message):
+    with pytest.raises(PDError, match="^" + re.escape(message) + "$"):
+        parse_pd(text)
+
+
 def test_parse_pd_rejects_no_crossings():
     with pytest.raises(PDError, match="^PD code has no crossings$"):
         parse_pd("[]")

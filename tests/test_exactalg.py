@@ -5,12 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense, det_cofactor, gcd_of_minors, pretzel_pd, torus_pd
+from conftest import (
+    alexander_determinant,
+    dense,
+    det_cofactor,
+    gcd_of_minors,
+    pretzel_pd,
+    torus_pd,
+)
 from knotcol import certificates, exactalg
 from knotcol.coloring import (
     NONTRIVIAL,
     alexander_matrix_at_minus_one,
     classify,
+    coloring_dimension,
     coloring_matrix,
     colorings,
     fox_colorings_count,
@@ -517,13 +525,37 @@ def test_row_updates_linear_on_torus_knot(monkeypatch):
     d = build_diagram(parse_pd(torus_pd(n)))
     for f, bound in ((lambda: rank_int(coloring_matrix(d)), 2 * n),
                      (lambda: rank_int(alexander_matrix_at_minus_one(d)), 2 * n),
-                     (lambda: knot_determinant(d), 2 * n),
+                     (lambda: alexander_determinant(d), 2 * n),
                      (lambda: fox_colorings_count(d, 3), 2 * n),
                      (lambda: rank_mod_p(coloring_matrix(d), 3), 2 * n),
                      (lambda: nullspace_mod_p(coloring_matrix(d), 3), 2 * n)):
         calls.clear()
         f()
         assert 0 < len(calls) <= bound, (len(calls), bound)
+
+
+def test_goeritz_route_eliminates_two_rows_on_torus_knot(monkeypatch):
+    # the colorings, their dimension and the determinant of T(2, n) are
+    # solved on the Goeritz matrix G of its class of 2 regions, so the
+    # elimination core sees 1 row for the determinant and 2 for the rank.
+    # For the basis mod 3 it sees G and its 2 null vectors, then the 3
+    # vectors that span the colorings
+    n = 201
+    sizes = []
+    eliminate = exactalg._eliminate_rows
+
+    def recording(rows, *args, **kwargs):
+        sizes.append(len(rows))
+        return eliminate(rows, *args, **kwargs)
+
+    monkeypatch.setattr(exactalg, "_eliminate_rows", recording)
+    d = build_diagram(parse_pd(torus_pd(n)))
+    for f, expected in ((lambda: knot_determinant(d), [1]),
+                        (lambda: coloring_dimension(d, 3), [2]),
+                        (lambda: colorings(d, 3, budget=0), [2, 2, 3])):
+        sizes.clear()
+        f()
+        assert sizes == expected
 
 
 def test_smith_basic():
