@@ -140,11 +140,7 @@ def colorings(d: Diagram, p: int, budget: int = DEFAULT_BUDGET) -> ColoringSpace
     them with the canonical step of `nullspace_mod_p`.
     """
     exactalg._require_odd_prime(p)
-    return _coloring_space(d, p, budget, checkerboard(d))
-
-
-def _coloring_space(d: Diagram, p: int, budget: int, shading: tuple) -> ColoringSpace:
-    """`colorings` of d, its checkerboard shading given."""
+    shading = checkerboard(d)
     regions, g, pairs = _goeritz(d, shading)
     nreg = d.nregions
     # the Tait graph of U grown breadth first from its first region into a
@@ -264,8 +260,8 @@ def min_colors_diagram(d: Diagram, p: int) -> MinColorsResult:
     has t = 0 (region 0 is unshaded) and s = 1.  Refuses, with ValueError,
     a scan whose representatives times regions exceed MINCOL_SCAN_LIMIT.
     """
+    space = colorings(d, p, budget=0)
     shading = checkerboard(d)
-    space = _coloring_space(d, p, 0, shading)
     nreg = d.nregions
     size = (p ** (space.dimension - 1) - 1) // (p - 1)
     if size * nreg > MINCOL_SCAN_LIMIT:

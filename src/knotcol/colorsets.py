@@ -119,10 +119,14 @@ def enumerate_classes(p: int, k: int) -> list:
     """Canonical representatives of the affine classes of k-subsets of Z_p.
 
     For k >= 2 every class has a member containing both 0 and 1 (map any
-    two elements there), so only those subsets are scanned.  The scan is
-    refused with ValueError, before it starts, when the pool of p - 2 further
-    elements or the C(p - 2, k - 2) subsets, times max(k, 7)^3 for the work
-    on each, exceed SCAN_LIMIT * 7^3.
+    two elements there), so only those subsets are scanned.  A canonical
+    form is one of them, as it starts (0, 1), so the classes are the scanned
+    subsets that are their own canonical form, each met once, and in
+    increasing order, as `combinations` yields the subsets sorted.
+
+    The scan is refused with ValueError, before it starts, when the pool of
+    p - 2 further elements or the C(p - 2, k - 2) subsets, times max(k, 7)^3
+    for the work on each, exceed SCAN_LIMIT * 7^3.
     """
     _require_odd_prime(p)
     if not 1 <= k <= p:
@@ -133,13 +137,14 @@ def enumerate_classes(p: int, k: int) -> list:
         raise ValueError(f"p = {p}, size = {k}: the class scan takes C({p - 2}, "
                          f"{k - 2}) subsets of {p - 2} elements at size^3 steps "
                          f"each, over the limit of {SCAN_LIMIT} subsets at size 7")
-    seen = set()
+    classes = []
     # at k = 2 the one subset is (0, 1): no pool, which would be copied whole
     pool = range(2, p) if k > 2 else ()
     for rest in combinations(pool, k - 2):
         elems = (0, 1) + rest
-        seen.add(canonical_affine_min(elems, p))
-    return [CanonicalSet(p, e) for e in sorted(seen)]
+        if canonical_affine_min(elems, p) == elems:
+            classes.append(CanonicalSet(p, elems))
+    return classes
 
 
 def candidates(p: int, k: int) -> list:

@@ -15,9 +15,10 @@ position counterclockwise", which for a planar code yields exactly n + 2
 faces.
 
 A `Diagram` is its PD code, the regions of each crossing relation and,
-built on first read and kept, the arc of each semiarc.  Every dart lies
-in one corner of a relation, so the regions beside a semiarc, and the
-Fox colors a Dehn coloring gives, are read off the relations.
+built on first read and kept, the arc of each semiarc and the checkerboard
+shading.  Every dart lies in one corner of a relation, so the regions
+beside a semiarc, and the Fox colors a Dehn coloring gives, are read off
+the relations.
 """
 
 from __future__ import annotations
@@ -160,26 +161,31 @@ def components(items, pairs) -> dict:
 
     Each pair (a, b) is joined in the given order by pointing the root of
     a at the root of b, so the roots, and any order built on them, are
-    fixed by the order of the pairs.  Finds halve the path.
+    fixed by the order of the pairs.  Finds halve the path, inline; a last
+    walk points every item straight at its root, in the same dict.
     """
     parent = {a: a for a in items}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    # x = parent[x] = ... would assign x first; parent[x] = x = ... assigns
+    # parent[x], then x, which halves the path
     for a, b in pairs:
-        parent[find(a)] = find(b)
-    return {a: find(a) for a in parent}
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        parent[a] = b
+    for a in parent:
+        r = a
+        while parent[r] != r:
+            parent[r] = r = parent[parent[r]]
+        parent[a] = r
+    return parent
 
 
 @dataclass(frozen=True)
 class Diagram:
     """A knot diagram: its PD code and the regions of each crossing
-    relation; the arc of each semiarc is built from the code on first
-    read and kept."""
+    relation; the arc of each semiarc and the checkerboard shading are
+    built on first read and kept."""
     pd: PDCode
     relations: tuple     # per crossing: regions (x1, x2, x3, x4), x1+x3 = x2+x4
 
@@ -201,6 +207,17 @@ class Diagram:
         root = components(self.pd._darts[2], ((q[1], q[3]) for q in self.pd.crossings))
         index = {r: i for i, r in enumerate(sorted(set(root.values())))}
         return dict(zip(root, map(index.__getitem__, root.values())))
+
+    @cached_property
+    def _shading(self) -> tuple:
+        """The shading that `checkerboard` returns, built on first read."""
+        root = components(range(self.nregions), (
+            pair for x1, x2, x3, x4 in self.relations for pair in ((x1, x4), (x2, x3))))
+        if len(set(root.values())) != 2:
+            raise PDError("disconnected region adjacency; corrupt input")
+        if any(root[x1] == root[x2] for x1, x2, _, _ in self.relations):
+            raise PDError("diagram not checkerboard-colorable; corrupt input")
+        return tuple(int(root[r] != root[0]) for r in range(self.nregions))
 
     def semiarc_regions(self, semiarc: int):
         """The regions of the two darts of a semiarc, in dart order; KeyError
@@ -243,14 +260,10 @@ def build_diagram(pd: PDCode) -> Diagram:
 def checkerboard(d: Diagram) -> tuple:
     """Proper 2-shading of the regions, region index -> 0 or 1, with region
     0 shaded 0: the Tait graphs' vertex sets, classes of the opposite corners
-    x1 ~ x4, x2 ~ x3, so x1 !~ x2 checks all four adjacent corner pairs."""
-    root = components(range(d.nregions), (
-        pair for x1, x2, x3, x4 in d.relations for pair in ((x1, x4), (x2, x3))))
-    if len(set(root.values())) != 2:
-        raise PDError("disconnected region adjacency; corrupt input")
-    if any(root[x1] == root[x2] for x1, x2, _, _ in d.relations):
-        raise PDError("diagram not checkerboard-colorable; corrupt input")
-    return tuple(int(root[r] != root[0]) for r in range(d.nregions))
+    x1 ~ x4, x2 ~ x3, so x1 !~ x2 checks all four adjacent corner pairs.
+    The diagram keeps the shading on first read, so the coloring solve and
+    the certificate of one diagram shade it once."""
+    return d._shading
 
 
 # Small-knot PD codes from standard tables.  The tests check each entry:

@@ -161,6 +161,14 @@ def test_enumerate_classes_canonicalizes_each_scanned_subset_once(monkeypatch):
     assert calls == 1
 
 
+def test_enumerate_classes_are_their_own_canonical_form():
+    # the scan keeps the subsets that are their own canonical form
+    for p in (3, 5, 7, 11, 13):
+        for k in range(1, p + 1):
+            for cs in enumerate_classes(p, k):
+                assert colorsets.canonical_affine_min(cs.elements, p) == cs.elements, (p, cs)
+
+
 def test_enumerate_classes_distinct_and_sorted():
     classes = enumerate_classes(13, 4)
     elems = [c.elements for c in classes]

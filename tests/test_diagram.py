@@ -13,6 +13,7 @@ from conftest import (
     torus_pd,
 )
 
+from knotcol import diagram
 from knotcol.certificates import augmented_matrix, extract_certificate, rank_checks
 from knotcol.coloring import (
     NONTRIVIAL,
@@ -122,9 +123,20 @@ def test_arcs_ordered_by_root_label():
 
 
 def test_components_join_direction():
+    # each pair points the root of a at the root of b; the arc numbering,
+    # and with it the order of `fox` output, rests on these roots
     assert components("ab", [("a", "b")]) == {"a": "b", "b": "b"}
     assert components("abcd", [("a", "b"), ("c", "d"), ("b", "d")]) == dict.fromkeys("abcd", "d")
     assert components("xyz", []) == {"x": "x", "y": "y", "z": "z"}
+    # chains, joined each way
+    assert components(range(5), [(0, 1), (1, 2), (2, 3), (3, 4)]) == dict.fromkeys(range(5), 4)
+    assert components(range(5), [(4, 3), (3, 2), (2, 1), (1, 0)]) == dict.fromkeys(range(5), 0)
+    # a star joined from its center: the center's root moves on to each leaf
+    assert components(range(4), [(0, 1), (0, 2), (0, 3)]) == dict.fromkeys(range(4), 3)
+    # and joined into its center
+    assert components(range(4), [(1, 0), (2, 0), (3, 0)]) == dict.fromkeys(range(4), 0)
+    assert components(range(6), [(0, 1), (2, 3), (1, 3), (4, 5)]) == \
+        {0: 3, 1: 3, 2: 3, 3: 3, 4: 5, 5: 5}
 
 
 def test_components_match_reachability():
@@ -256,9 +268,16 @@ def _assert_matches_reference(pd):
         assert ours.semiarc_regions(a) == theirs.semiarc_regions(a), (a, pd)
 
 
-def test_queries_on_relations_build_no_other_view():
-    # det, color-count, mincol and certify read the relations and the
-    # region count alone; fox builds the arc index on first read and keeps it
+def test_queries_on_relations_build_no_other_view(monkeypatch):
+    # det, color-count, mincol and certify read the relations, the region
+    # count and the shading, which the diagram builds once, on first read,
+    # and keeps; fox builds the arc index on first read and keeps it
+    runs = []
+
+    def counted(items, pairs):
+        runs.append(items)
+        return components(items, pairs)
+    monkeypatch.setattr(diagram, "components", counted)
     d = build_diagram(parse_pd(torus_pd(51)))
     assert knot_determinant(d) == 51
     space = colorings(d, 3)
@@ -267,7 +286,7 @@ def test_queries_on_relations_build_no_other_view():
     aug = augmented_matrix(d, c)
     assert all(r.ok for r in rank_checks(aug))
     assert not extract_certificate(aug).violations
-    assert set(vars(d)) == {"pd", "relations"}
+    assert set(vars(d)) == {"pd", "relations", "_shading"} and len(runs) == 1
     assert fox_colorings_count(d, 3) == 9
     arc = vars(d)["arc_of_semiarc"]
     assert d.arc_of_semiarc is arc and len(set(arc.values())) == 51

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from itertools import combinations, product
 
 import pytest
@@ -21,9 +22,9 @@ from knotcol.coloring import (
     knot_determinant,
     theorem_lower_bound,
 )
-from knotcol.colorsets import ODD_PRIMES_BELOW_32, enumerate_classes
+from knotcol.colorsets import EXPECTED_CANDIDATES, ODD_PRIMES_BELOW_32, enumerate_classes
 from knotcol.diagram import catalog_diagram, components
-from knotcol.exactalg import InvalidModulusError
+from knotcol.exactalg import InvalidModulusError, is_odd_prime
 from knotcol.palette import (
     NO_WITNESS,
     PAIR_LIMIT,
@@ -144,6 +145,30 @@ def test_fixpoint_matches_reference_over_tables():
                     (cs.elements, p)
 
 
+def test_fixpoint_matches_reference_beyond_tables():
+    # seeded random sets past the tables: odd primes up to 61, sizes 3 to 9
+    rng = random.Random(61)
+    primes = [p for p in range(5, 62) if is_odd_prime(p)]
+    for _ in range(600):
+        p = rng.choice(primes)
+        s = rng.sample(range(p), rng.randint(3, min(9, p)))
+        g = palette_graph(s, p)
+        assert connected_r_witness(g) == reference_connected_r_witness(g), (s, p)
+
+
+def test_fixpoint_matches_reference_on_affine_images_of_candidates():
+    # every published candidate under every unit, each with a seeded shift:
+    # each image has a witness, and the same one as the reference
+    rng = random.Random(32)
+    for p, table in EXPECTED_CANDIDATES.items():
+        for s in table:
+            for a in range(1, p):
+                b = rng.randrange(p)
+                g = palette_graph([(a * x + b) % p for x in s], p)
+                w = connected_r_witness(g)
+                assert w != NO_WITNESS and w == reference_connected_r_witness(g), (s, a, b)
+
+
 def test_witness_is_connected_r_subgraph():
     for p, s in ((7, (0, 1, 2, 4)), (11, (0, 1, 2, 3, 6)), (13, (0, 1, 2, 4, 7))):
         g = palette_graph(s, p)
@@ -225,6 +250,31 @@ def test_palette_graph_refuses_huge_sets_at_once():
         with pytest.raises(ValueError, match=f"at least {k * (k - 1) // 2} pairs"):
             palette_graph(range(k), 1_000_003)
         assert time.process_time() - start < 0.5, k
+
+
+def test_palette_graph_refusal_builds_no_clique():
+    # range(3000) joins 4,499,999,500 pairs of sums at 1,000,003, but
+    # C(3000, 2) alone is under the limit; the clique sizes are counted
+    # from the differences, with no sum stored (about 0.7 MB traced peak;
+    # building the cliques first peaked at about 400 MB)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"at least 4499999500 pairs.*{PAIR_LIMIT}"):
+            palette_graph(range(3000), 1_000_003)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, peak
+
+
+def test_palette_graph_counted_sets_under_the_limit_are_built():
+    # 400 random residues of 1,000,003 are counted, as the bound on the
+    # clique sizes is over the limit, and then built: their differences are
+    # nearly all distinct, so little beyond the clique of difference 0
+    s = random.Random(5).sample(range(1_000_003), 400)
+    g = palette_graph(s, 1_000_003)
+    assert len(g.edges) >= 400 * 399 // 2
+    assert g.vertices == {(x + y) % 1_000_003 for x in s for y in s}
 
 
 def test_palette_graph_refuses_bad_edges_at_construction():
