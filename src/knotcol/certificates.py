@@ -5,6 +5,11 @@ unit row (variant A) or a difference row (variant B), merge columns that
 share a color, and extract a square submatrix whose exact determinant is a
 nonzero multiple of p bounded by 2^(colors-1).  Together these force
 #colors >= log2(p) + 1.
+
+The rank checks eliminate M once, over Z, and read its ranks over Z_p off
+that echelon form (`exactalg.ranks_appending`).  The merged matrix stays
+sparse rows, so a certificate with k + 1 colors costs time in proportion
+to the nonzeros and k^2: only its k x k minor is ever dense.
 """
 
 from __future__ import annotations
@@ -90,11 +95,10 @@ def rank_checks(aug: AugmentedMatrix) -> list:
     m = aug.base
     n = len(m.rows)
     # A_D(-1) is M with the unit row e1 appended, and B is M with the
-    # augmented matrix's extra row appended: one elimination of M per ring
-    # ranks all three
+    # augmented matrix's extra row appended: one elimination of M over Z
+    # ranks all three over both rings
     extra = SparseMatrix([{0: 1}, aug.extra_row], m.ncols)
-    rz, rza, rzb = exactalg.ranks_appending(m, extra)
-    rp, rpa, rpb = exactalg.ranks_appending(m, extra, p)
+    (rz, rza, rzb), (rp, rpa, rpb) = exactalg.ranks_appending(m, extra, p)
     report = [
         RankCheck("rank_Z M = n", rz == n, f"rank_Z M = {rz}, n = {n}"),
         RankCheck("rank_p M <= n-1", rp <= n - 1, f"rank_{p} M = {rp}, n-1 = {n - 1}"),
@@ -109,23 +113,26 @@ def rank_checks(aug: AugmentedMatrix) -> list:
     return report
 
 
-def merge_columns(m: AugmentedMatrix) -> list:
+def merge_columns(m: AugmentedMatrix) -> SparseMatrix:
     """Sum together the columns of regions sharing a color, reading only the
     stored entries of the full matrix.
 
-    Output columns are ordered by increasing color value, so the merged
-    matrix is a dense list of rows with one column per color used.
+    Merged column j is the j-th smallest color used, so the merged matrix
+    has one column per color; a sum that cancels is not stored.
     """
     values = m.coloring.values
     column = {color: j for j, color in enumerate(sorted(set(values)))}
     target = [column[v] for v in values]
     merged = []
     for row in m.full().rows:
-        out = [0] * len(column)
+        out = {}
         for j, e in row.items():
-            out[target[j]] += e
+            t = target[j]
+            out[t] = out.get(t, 0) + e
+        if 0 in out.values():
+            out = {j: e for j, e in out.items() if e}
         merged.append(out)
-    return merged
+    return SparseMatrix(merged, len(column))
 
 
 def extract_certificate(aug: AugmentedMatrix) -> Certificate:
@@ -133,19 +140,27 @@ def extract_certificate(aug: AugmentedMatrix) -> Certificate:
     columns are the first ell-1 pivot columns of one left-to-right
     elimination over Z, its rows the pivot columns of the block's
     transpose, since the first k greedy elements of a matroid are
-    componentwise at most any independent k-set (Gale, 1968)."""
+    componentwise at most any independent k-set (Gale, 1968).  Both
+    eliminations read sparse rows, and only the k x k minor is dense."""
     p = aug.coloring.p
-    rows = merge_columns(aug)
-    ell = len(rows[0])
+    merged = merge_columns(aug)
+    rows = merged.rows
+    ell = merged.ncols
     k = ell - 1
-    cols = tuple(sorted(exactalg._eliminate(rows)))[:k]
+    cols = tuple(sorted(exactalg._eliminate(merged)))[:k]
     if len(cols) < k:
         raise CertificateError(
             "certificate extraction failed: no nonsingular submatrix found"
         )
-    rsel = tuple(sorted(exactalg._eliminate(
-        [[row[cc] for row in rows] for cc in cols])))
-    sub = [[rows[r][cc] for cc in cols] for r in rsel]
+    # the transposed block: its row t holds the entries of column cols[t]
+    place = dict(zip(cols, range(k)))
+    block = [{} for _ in cols]
+    for i, row in enumerate(rows):
+        for j, e in row.items():
+            if j in place:
+                block[place[j]][i] = e
+    rsel = tuple(sorted(exactalg._eliminate_rows(block)))
+    sub = [[rows[r].get(cc, 0) for cc in cols] for r in rsel]
     det = exactalg.det_int(sub)
     violations = []
     if det % p != 0:

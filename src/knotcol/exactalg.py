@@ -111,16 +111,30 @@ def _rcm_rows(m: SparseMatrix, p=None):
     the coloring, Alexander and Fox matrices take O(n) row updates (the Fox
     matrix of T(2, 201) at 3 takes 333, and 5,397 left to right).  Renaming
     the columns multiplies m on the right by a permutation matrix, which is
-    unimodular, so the rank and the Smith form stay.
+    unimodular, so the rank and the Smith form stay.  An entry that p
+    divides joins no columns, so the order is that of the rows reduced mod
+    p; each row is reduced and renamed in one pass.
     """
-    rows = _reduced(m.rows, p)
+    rows = m.rows
     ncols = m.ncols
     rows_of = [[] for _ in range(ncols)]
+    pattern = rows  # row i's columns, as the order reads them
     for i, r in enumerate(rows):
-        for j in r:
-            rows_of[j].append(i)
+        if p is None:
+            for j in r:
+                rows_of[j].append(i)
+            continue
+        for j, v in r.items():
+            if v % p:
+                rows_of[j].append(i)
+            else:
+                if pattern is rows:
+                    pattern = list(rows)
+                pattern[i] = [j for j, v in r.items() if v % p]
     by_count = sorted(range(ncols), key=list(map(len, rows_of)).__getitem__)
-    place = sorted(range(ncols), key=by_count.__getitem__)
+    place = [0] * ncols  # column -> its place in by_count
+    for k, j in enumerate(by_count):
+        place[j] = k
     seen = [False] * ncols
     row_seen = [False] * len(rows)
     order = []
@@ -135,7 +149,7 @@ def _rcm_rows(m: SparseMatrix, p=None):
             for i in rows_of[order[head]]:
                 if not row_seen[i]:
                     row_seen[i] = True
-                    for j in rows[i]:
+                    for j in pattern[i]:
                         if not seen[j]:
                             seen[j] = True
                             reached.append(j)
@@ -143,8 +157,12 @@ def _rcm_rows(m: SparseMatrix, p=None):
             order += reached
             head += 1
     order.reverse()
-    new = sorted(range(ncols), key=order.__getitem__)
-    return [{new[j]: v for j, v in r.items()} for r in rows], order
+    new = [0] * ncols  # column -> its renamed column
+    for k, j in enumerate(order):
+        new[j] = k
+    if p is None:
+        return [{new[j]: v for j, v in r.items()} for r in rows], order
+    return [{new[j]: x for j, v in r.items() if (x := v % p)} for r in rows], order
 
 
 def _eliminate(m, p=None) -> dict:
@@ -242,23 +260,31 @@ def rank_mod_p(m, p: int) -> int:
     return len(_echelon(m, p)[0])
 
 
-def ranks_appending(m, extra, p=None) -> list:
-    """[rank of m] followed by the rank of m with each row of extra
-    appended, over Z_p, or over Q when p is None, from one elimination of m;
-    extra is a matrix of m's width.
+def ranks_appending(m, extra, p: int) -> tuple:
+    """(over_q, over_p): [rank of m] followed by the rank of m with each
+    row of extra appended, over Q and over Z_p, from one elimination of m
+    over Z; extra is a matrix of m's width.
 
-    m is eliminated as in `rank_mod_p` and `rank_int`.  Its pivot rows are
-    in echelon form and span its row space, so each extra row, renamed
-    into the same column order, is reduced against them alone: appending
-    it adds 1 to the rank exactly when it is not reduced to zero.
+    m is eliminated over Z as in `rank_int`.  That elimination only adds
+    integer multiples of one row to another, so its pivot rows generate
+    the lattice of integer combinations of the rows of m, as a Hermite
+    basis does (Cohen, A Course in Computational Algebraic Number Theory,
+    1993, section 2.4).  Reduced mod p, they therefore span the row space
+    of m over Z_p, and they are already in echelon form there, except the
+    few whose pivot p divides; `_eliminate_rows` over Z_p finishes them.
+    Each extra row, renamed into the same column order, is then reduced
+    against the pivot rows of each ring alone: appending it adds 1 to the
+    rank exactly when it is not reduced to zero.
     """
-    if p is not None:
-        _require_odd_prime(p)
-    pivots, order = _echelon(m, p)
+    _require_odd_prime(p)
+    pivots, order = _echelon(m)
+    pivots_p = _eliminate_rows(_reduced(pivots.values(), p), p)
     new = dict(zip(order, range(len(order))))  # m column -> renamed column
-    return [len(pivots)] + [
-        len(pivots) + _adds_rank({new[j]: v for j, v in r.items()}, pivots, p)
-        for r in _reduced(as_sparse(extra).rows, p)]
+    extra = [{new[j]: v for j, v in r.items()} for r in as_sparse(extra).rows]
+    return ([len(pivots)] + [len(pivots) + _adds_rank(r, pivots, None)
+                             for r in extra],
+            [len(pivots_p)] + [len(pivots_p) + _adds_rank(r, pivots_p, p)
+                               for r in _reduced(extra, p)])
 
 
 def _adds_rank(r: dict, pivots: dict, p) -> int:

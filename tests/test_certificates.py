@@ -78,26 +78,32 @@ def test_variant_a_shifts_region0_to_zero(catalog):
 
 def test_merge_row_arithmetic(catalog):
     # merged column j is the sum of the columns of the regions with the
-    # j-th smallest color
+    # j-th smallest color; the merged rows are sparse, so they must hold
+    # exactly the nonzero sums, entry for entry
     for d in catalog.values():
         for p in dividing_primes(knot_determinant(d)):
             for c in nontrivial_colorings(d, p):
                 aug = augmented_matrix(d, c)
                 values = aug.coloring.values
+                colors = sorted(set(values))
                 expected = [
-                    [sum(e for e, v in zip(row, values) if v == color)
-                     for color in sorted(set(values))]
+                    {j: x for j, color in enumerate(colors)
+                     if (x := sum(e for e, v in zip(row, values) if v == color))}
                     for row in dense(aug.full())
                 ]
-                assert merge_columns(aug) == expected
+                merged = merge_columns(aug)
+                assert merged.ncols == len(colors)
+                assert merged.rows == expected
+                assert all(0 not in row.values() for row in merged.rows)
 
 
 def test_merge_columns_shapes(trefoil):
     c = nontrivial_colorings(trefoil, 3)[0]
     aug = augmented_matrix(trefoil, c)
     m2 = merge_columns(aug)
-    assert len(m2) == trefoil.n + 1
-    assert all(len(row) == len(set(aug.coloring.values)) for row in m2)
+    assert len(m2.rows) == trefoil.n + 1
+    assert m2.ncols == len(set(aug.coloring.values))
+    assert all(0 <= j < m2.ncols for row in m2.rows for j in row)
 
 
 def test_variant_b_merged_extra_row_is_zero(catalog):
@@ -108,7 +114,7 @@ def test_variant_b_merged_extra_row_is_zero(catalog):
             if aug.variant != VARIANT_B:
                 continue
             merged = merge_columns(aug)
-            assert not any(merged[-1])
+            assert merged.rows[-1] == {}
 
 
 def test_variant_a_merged_has_unit_row(catalog):
@@ -118,8 +124,8 @@ def test_variant_a_merged_has_unit_row(catalog):
                 aug = augmented_matrix(d, c)
                 if aug.variant != VARIANT_A:
                     continue
-                rows = merge_columns(aug)
-                assert any(sorted(e for e in row if e) == [1] for row in rows)
+                rows = merge_columns(aug).rows
+                assert any(sorted(row.values()) == [1] for row in rows)
 
 
 def test_rank_checks_catalog(catalog):
@@ -171,7 +177,7 @@ def test_certificate_matches_exhaustive_scan(catalog):
             for c in nontrivial_colorings(d, p):
                 aug = augmented_matrix(d, c)
                 cert = extract_certificate(aug)
-                expected = scan_certificate(merge_columns(aug))
+                expected = scan_certificate(dense(merge_columns(aug)))
                 assert (cert.row_indices, cert.col_indices, cert.det_value) == expected
                 seen += 1
                 cols = expected[1]
@@ -187,7 +193,7 @@ def test_certificate_error_below_full_rank():
     # rank 1, below ell - 1 = 2, so no nonsingular 2-minor exists
     aug = AugmentedMatrix(VARIANT_A, SparseMatrix([], 3), {0: 1},
                           DehnColoring(3, (0, 1, 2)))
-    assert merge_columns(aug) == [[1, 0, 0]]
+    assert merge_columns(aug) == SparseMatrix([{0: 1}], 3)
     with pytest.raises(CertificateError, match="no nonsingular submatrix"):
         extract_certificate(aug)
 
@@ -232,7 +238,7 @@ def test_merged_rank_claims(catalog):
         for p in dividing_primes(knot_determinant(d)):
             c = nontrivial_colorings(d, p)[0]
             m2 = merge_columns(augmented_matrix(d, c))
-            ell = len(m2[0])
+            ell = m2.ncols
             assert exactalg.rank_int(m2) == ell - 1
             assert exactalg.rank_mod_p(m2, p) <= ell - 2
 

@@ -367,13 +367,15 @@ def test_nullspace_matches_left_to_right_reference(catalog):
 def test_ranks_appending_match_ranks_of_stacked_rows(catalog):
     # each extra row is eliminated with the pivot rows of m alone, which
     # serve every extra row in turn; the ranks must be those of m with each
-    # row stacked under it, whichever order the extra rows come in
-    def check(m, extra):
+    # row stacked under it, over Q and mod p, whichever order the extra
+    # rows come in.  Both lists come from one elimination of m over Z
+    def check(m, extra, primes=(3, 5, 7)):
         for extra in (extra, extra[::-1]):
-            assert exactalg.ranks_appending(m, extra) \
-                == [rank_int(m)] + [rank_int(m + [r]) for r in extra], (m, extra)
-            for p in (3, 5, 7):
-                assert exactalg.ranks_appending(m, extra, p) \
+            for p in primes:
+                over_q, over_p = exactalg.ranks_appending(m, extra, p)
+                assert over_q == [rank_int(m)] + [rank_int(m + [r]) for r in extra], \
+                    (m, extra)
+                assert over_p \
                     == [rank_mod_p(m, p)] + [rank_mod_p(m + [r], p) for r in extra], \
                     (m, extra, p)
 
@@ -381,6 +383,24 @@ def test_ranks_appending_match_ranks_of_stacked_rows(catalog):
     for rows in list(_random_matrices()) + list(_rank_deficient_matrices()):
         k = rng.randint(1, len(rows))
         check(rows[:k], rows[k:] + [[rng.randint(-3, 3) for _ in rows[0]]])
+    # the elimination renames the two columns of a single row in reverse,
+    # so the integer pivot of [[1, 3]] is 3, which p = 3 divides: mod 3 the
+    # pivot row leads in the next column, where it still counts, and the
+    # extra row (1, 0) lies in its span.  [[3, 1]] with (0, 1), the same
+    # case with the columns swapped, has the integer pivot 1
+    assert exactalg._echelon([[1, 3]])[0] == {0: {0: 3, 1: 1}}
+    assert exactalg.ranks_appending([[1, 3]], [[1, 0]], 3) == ([1, 2], [1, 1])
+    assert exactalg.ranks_appending([[3, 1]], [[0, 1]], 3) == ([1, 2], [1, 1])
+    # rows scaled by p keep the rank over Q and vanish mod p, so the
+    # integer pivots that p divides must still be eliminated mod p
+    for p in (3, 5, 7):
+        rng = random.Random(p)
+        for rows in list(_random_matrices(seed=p, count=60)) \
+                + list(_rank_deficient_matrices(seed=p, count=60)):
+            scaled = [[p * v for v in r] if rng.random() < 0.5 else r for r in rows]
+            k = rng.randint(1, len(rows))
+            check(scaled[:k], scaled[k:] + [[rng.randint(-3, 3) for _ in rows[0]]],
+                  (p,))
     # over Z, (2, 1) has a smaller |entry| than m = [[4, 2]] in each column,
     # so it takes over the pivot and clears m's row to zero: half that row,
     # it leaves the rank 1, and the rows after it still meet (4, 2)
@@ -424,7 +444,6 @@ def test_dense_and_sparse_forms_agree(catalog):
         extra_m = _sparse_form(extra, nc, rng)
         assert rank_int(m) == rank_int(rows), rows
         assert smith_invariant_factors(m) == smith_invariant_factors(rows), rows
-        assert exactalg.ranks_appending(m, extra_m) == exactalg.ranks_appending(rows, extra)
         for p in (3, 5, 7):
             assert rank_mod_p(m, p) == rank_mod_p(rows, p), (rows, p)
             assert nullspace_mod_p(m, p) == nullspace_mod_p(rows, p), (rows, p)
@@ -438,7 +457,7 @@ def test_dense_and_sparse_forms_agree(catalog):
         assert smith_invariant_factors(m) == []
         units = [tuple(int(i == j) for i in range(nc)) for j in range(nc)]
         assert nullspace_mod_p(m, 5) == units
-        assert exactalg.ranks_appending(m, SparseMatrix([{}], nc), 3) == [0, 0]
+        assert exactalg.ranks_appending(m, SparseMatrix([{}], nc), 3) == ([0, 0], [0, 0])
     assert nullspace_mod_p([], 5) == nullspace_mod_p(SparseMatrix([], 0), 5) == []
 
 
@@ -457,14 +476,19 @@ def test_matrices_of_large_torus_knot_are_sparse():
 
 def test_rcm_rows_renames_columns():
     # the order is a permutation, and column order[k] is renamed k with its
-    # entries unchanged (reduced mod p when given)
+    # entries unchanged (reduced mod p when given); mod p it is the order
+    # of the rows reduced mod p, so an entry that p divides (3 or -3 at
+    # p = 3) joins no columns
     for rows in _random_matrices(seed=11, count=100):
-        for p in (None, 5):
+        for p in (None, 3, 5):
             sparse, order = exactalg._rcm_rows(exactalg.as_sparse(rows), p)
             assert sorted(order) == list(range(len(rows[0])))
             for r, s in zip(rows, sparse):
                 renamed = [r[j] if p is None else r[j] % p for j in order]
                 assert s == {k: v for k, v in enumerate(renamed) if v}
+            if p is not None:
+                residues = [[v % p for v in r] for r in rows]
+                assert order == exactalg._rcm_rows(exactalg.as_sparse(residues))[1]
 
 
 def test_input_contract():
@@ -556,6 +580,42 @@ def test_goeritz_route_eliminates_two_rows_on_torus_knot(monkeypatch):
         sizes.clear()
         f()
         assert sizes == expected
+
+
+def test_rank_checks_eliminate_coloring_matrix_once(monkeypatch):
+    # certify ranks M, A_D(-1) and B over Z and mod 3 from one elimination
+    # of the n rows of M over Z; the mod-3 pass gets the n integer pivot
+    # rows reduced mod 3, which are echelon but for the one whose pivot
+    # (201) 3 divides, and makes no row update (measured; eliminating M
+    # itself mod 3 makes 201)
+    n = 201
+    d = build_diagram(parse_pd(torus_pd(n)))
+    c = next(c for c in colorings(d, 3).enumerated if classify(d, c) == NONTRIVIAL)
+    aug = certificates.augmented_matrix(d, c)
+    calls = []
+    updates = []  # the ring of each row update made inside the core
+    inside = []
+    eliminate, clear = exactalg._eliminate_rows, exactalg._clear
+
+    def recording(rows, p=None, reduced=False):
+        calls.append((len(rows), p))
+        inside.append(p)
+        try:
+            return eliminate(rows, p, reduced)
+        finally:
+            inside.pop()
+
+    def counting_clear(r, piv, col, p):
+        if inside:
+            updates.append(p)
+        return clear(r, piv, col, p)
+
+    monkeypatch.setattr(exactalg, "_eliminate_rows", recording)
+    monkeypatch.setattr(exactalg, "_clear", counting_clear)
+    report = certificates.rank_checks(aug)
+    assert [r.ok for r in report] == [True] * 6
+    assert calls == [(n, None), (n, 3)]
+    assert updates.count(3) <= 2, updates.count(3)
 
 
 def test_smith_basic():
