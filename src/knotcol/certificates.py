@@ -14,7 +14,7 @@ to the nonzeros and k^2: only its k x k minor is ever dense.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from knotcol import exactalg
 from knotcol.coloring import (
@@ -39,8 +39,7 @@ class CertificateError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class AugmentedMatrix:
+class AugmentedMatrix(NamedTuple):
     variant: str
     base: SparseMatrix       # the n x (n+2) coloring matrix M
     extra_row: dict          # {column: nonzero}: e_0, or e_i - e_j
@@ -50,8 +49,7 @@ class AugmentedMatrix:
         return SparseMatrix(self.base.rows + [self.extra_row], self.base.ncols)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     ell: int                 # number of colors
     row_indices: tuple
     col_indices: tuple
@@ -82,8 +80,7 @@ def augmented_matrix(d: Diagram, c: DehnColoring) -> AugmentedMatrix:
     return AugmentedMatrix(VARIANT_B, base, {i: 1, j: -1}, c)
 
 
-@dataclass(frozen=True)
-class RankCheck:
+class RankCheck(NamedTuple):
     claim: str
     ok: bool
     detail: str

@@ -9,8 +9,8 @@ stays for the certificates' rank checks."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
+from typing import NamedTuple
 
 from knotcol import exactalg
 from knotcol.diagram import Diagram, checkerboard
@@ -28,14 +28,20 @@ class NotAColoringError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class DehnColoring:
+class _DehnColoringFields(NamedTuple):
     p: int
     values: tuple  # region index -> residue
 
-    def __post_init__(self):
-        if self.values and (min(self.values) < 0 or max(self.values) >= self.p):
-            raise ValueError(f"coloring values must be residues mod {self.p}")
+
+class DehnColoring(_DehnColoringFields):
+    # the check runs in __new__, which _make and _replace bypass; the
+    # library calls neither on a DehnColoring
+    __slots__ = ()
+
+    def __new__(cls, p, values):
+        if values and (min(values) < 0 or max(values) >= p):
+            raise ValueError(f"coloring values must be residues mod {p}")
+        return super().__new__(cls, p, values)
 
 
 def _sparse_row(*terms) -> dict:
@@ -77,8 +83,7 @@ def checkerboard_coloring(d: Diagram, p: int) -> DehnColoring:
     return DehnColoring(p, checkerboard(d))
 
 
-@dataclass(frozen=True)
-class ColoringSpace:
+class ColoringSpace(NamedTuple):
     p: int
     basis: tuple       # of DehnColoring
     dimension: int
@@ -227,8 +232,7 @@ def classify(d: Diagram, c: DehnColoring) -> str:
 MINCOL_SCAN_LIMIT = 47 * 10 ** 6
 
 
-@dataclass(frozen=True)
-class MinColorsResult:
+class MinColorsResult(NamedTuple):
     min_colors: int | None  # None when no coloring is nontrivial
     witness: DehnColoring | None
     lower_bound: int

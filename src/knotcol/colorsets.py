@@ -8,8 +8,8 @@ to affine equivalence, never by literal representative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from knotcol.coloring import theorem_lower_bound
 from knotcol.exactalg import _require_odd_prime
@@ -83,8 +83,7 @@ def canonical_affine_min(elems, p):
     return tuple(min(images))
 
 
-@dataclass(frozen=True)
-class CanonicalSet:
+class CanonicalSet(NamedTuple):
     p: int
     elements: tuple  # sorted residues
 
@@ -182,8 +181,7 @@ EXPECTED_CANDIDATES = {
 ODD_PRIMES_BELOW_32 = tuple(EXPECTED_CANDIDATES)
 
 
-@dataclass(frozen=True)
-class CandidateReport:
+class CandidateReport(NamedTuple):
     p: int
     empty_sizes_ok: bool        # no candidates at any size below critical
     critical_size: int

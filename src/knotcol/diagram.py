@@ -25,18 +25,21 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 
 class PDError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PDCode:
+class _PDCodeFields(NamedTuple):
     crossings: tuple  # tuple of 4-tuples of semiarc labels
 
+
+# PDCode and Diagram leave out __slots__: the instance dict holds their
+# cached views, and the fields stay read-only in the tuple
+class PDCode(_PDCodeFields):
     @property
     def n(self) -> int:
         return len(self.crossings)
@@ -181,13 +184,15 @@ def components(items, pairs) -> dict:
     return parent
 
 
-@dataclass(frozen=True)
-class Diagram:
+class _DiagramFields(NamedTuple):
+    pd: PDCode
+    relations: tuple     # per crossing: regions (x1, x2, x3, x4), x1+x3 = x2+x4
+
+
+class Diagram(_DiagramFields):
     """A knot diagram: its PD code and the regions of each crossing
     relation; the arc of each semiarc and the checkerboard shading are
     built on first read and kept."""
-    pd: PDCode
-    relations: tuple     # per crossing: regions (x1, x2, x3, x4), x1+x3 = x2+x4
 
     @property
     def n(self) -> int:

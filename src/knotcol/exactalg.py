@@ -11,11 +11,11 @@ changes its input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import compress
 from math import gcd, prod
 from operator import mul
+from typing import NamedTuple
 
 
 class InvalidModulusError(ValueError):
@@ -70,8 +70,7 @@ def _require_odd_prime(p: int) -> None:
         raise InvalidModulusError(f"invalid modulus: {p} is not an odd prime")
 
 
-@dataclass(frozen=True)
-class SparseMatrix:
+class SparseMatrix(NamedTuple):
     """A matrix as its rows, each a dict {column: nonzero} that stores no
     zero, and its column count.  The count is explicit because the rows do
     not fix it: a column of zeros, such as the one a kink cancels, appears
@@ -82,7 +81,8 @@ class SparseMatrix:
 
 def as_sparse(m) -> SparseMatrix:
     """m itself when it is a SparseMatrix; else the dense integer rows of m
-    as one, `compress` skipping the zeros at C speed."""
+    as one, `compress` skipping the zeros at C speed.  The type is tested
+    first: a SparseMatrix is a tuple too, and would read as two rows."""
     if isinstance(m, SparseMatrix):
         return m
     return SparseMatrix([dict(compress(enumerate(r), r)) for r in m],

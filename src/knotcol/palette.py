@@ -13,8 +13,8 @@ subgraph.  `to_dot` renders a graph for Graphviz.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import InitVar, dataclass, field
 from itertools import combinations, combinations_with_replacement
+from typing import NamedTuple
 
 from knotcol.coloring import DehnColoring, fox_from_dehn
 from knotcol.diagram import Diagram, components
@@ -24,26 +24,31 @@ from knotcol.exactalg import _require_odd_prime
 PAIR_LIMIT = 10**7
 
 
-@dataclass(frozen=True)
-class PaletteGraph:
+class _PaletteGraphFields(NamedTuple):
     p: int
     vertices: frozenset
-    pairs: InitVar  # iterable of edges (u, v) with u < v
-    edges: dict = field(init=False)  # (u, v) -> label 2^{-1}(u+v)
+    edges: dict  # (u, v) -> label 2^{-1}(u+v)
 
-    def __post_init__(self, pairs):
-        _require_odd_prime(self.p)
-        vertices, half = self.vertices, (self.p + 1) // 2
+
+class PaletteGraph(_PaletteGraphFields):
+    """Built from p, the vertices and an iterable of edges (u, v) with
+    u < v; it stores each edge with its label.  The checks run in
+    __new__, which _make and _replace bypass."""
+    __slots__ = ()
+
+    def __new__(cls, p, vertices, pairs):
+        _require_odd_prime(p)
+        half = (p + 1) // 2
         edges = {}
         for u, v in pairs:
             if u >= v:
                 raise ValueError(f"edge ({u},{v}) is a loop or not ordered u < v")
             if u not in vertices or v not in vertices:
                 raise ValueError(f"edge ({u},{v}) endpoint is not a vertex")
-            label = edges[(u, v)] = (half * (u + v)) % self.p
+            label = edges[(u, v)] = (half * (u + v)) % p
             if label not in vertices:
                 raise ValueError(f"edge ({u},{v}) label {label} is not a vertex")
-        object.__setattr__(self, "edges", edges)
+        return super().__new__(cls, p, vertices, edges)
 
 
 def palette_graph(colors, p: int) -> PaletteGraph:

@@ -1,4 +1,3 @@
-import dataclasses
 from collections import Counter
 from itertools import combinations
 
@@ -211,7 +210,7 @@ def test_certificate_violations(trefoil):
     # which 5 does not divide and which lies below 5
     aug = augmented_matrix(trefoil, nontrivial_colorings(trefoil, 3)[0])
     assert not extract_certificate(aug).violations
-    aug = dataclasses.replace(aug, coloring=DehnColoring(5, aug.coloring.values))
+    aug = aug._replace(coloring=DehnColoring(5, aug.coloring.values))
     cert = extract_certificate(aug)
     assert cert.det_value == -3
     assert cert.violations == ("det -3 not divisible by p=5",

@@ -1,12 +1,16 @@
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from conftest import ODD_PRIMES, pretzel_pd, torus_pd
+import knotcol
 from knotcol import exactalg
 from knotcol.certificates import augmented_matrix, check_star, merge_columns
 from knotcol.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, _first_nontrivial, run
@@ -313,3 +317,17 @@ def test_usage_error_goes_to_stderr(capsys):
     assert (code, text) == (EXIT_USAGE, "")
     err = capsys.readouterr().err
     assert "--set" in err and "''" in err
+
+
+def test_cli_import_stays_light():
+    # each query runs in a fresh process, which pays for every module the
+    # CLI imports; the records are named tuples, so neither dataclasses nor
+    # the inspect module it pulls in is loaded.  -S keeps site-packages'
+    # .pth files from importing anything
+    src = Path(knotcol.__file__).parents[1]
+    code = ("import sys, knotcol.cli; "
+            "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.split() == []
