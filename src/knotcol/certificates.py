@@ -8,8 +8,8 @@ nonzero multiple of p bounded by 2^(colors-1).  Together these force
 
 The rank checks eliminate M once, over Z, and read its ranks over Z_p off
 that echelon form (`exactalg.ranks_appending`).  The merged matrix stays
-sparse rows, so a certificate with k + 1 colors costs time in proportion
-to the nonzeros and k^2: only its k x k minor is ever dense.
+sparse rows, and two eliminations give the certificate: its columns,
+then its rows and determinant.  No matrix is ever dense.
 """
 
 from __future__ import annotations
@@ -138,13 +138,14 @@ def extract_certificate(aug: AugmentedMatrix) -> Certificate:
     elimination over Z, its rows the pivot columns of the block's
     transpose, since the first k greedy elements of a matroid are
     componentwise at most any independent k-set (Gale, 1968).  Both
-    eliminations read sparse rows, and only the k x k minor is dense."""
+    eliminations read sparse rows, and `exactalg._minor` reads the
+    determinant off the second: the block is the minor's transpose."""
     p = aug.coloring.p
     merged = merge_columns(aug)
     rows = merged.rows
     ell = merged.ncols
     k = ell - 1
-    cols = tuple(sorted(exactalg._eliminate(merged)))[:k]
+    cols = exactalg._minor(rows)[0][:k]
     if len(cols) < k:
         raise CertificateError(
             "certificate extraction failed: no nonsingular submatrix found"
@@ -156,9 +157,7 @@ def extract_certificate(aug: AugmentedMatrix) -> Certificate:
         for j, e in row.items():
             if j in place:
                 block[place[j]][i] = e
-    rsel = tuple(sorted(exactalg._eliminate_rows(block)))
-    sub = [[rows[r].get(cc, 0) for cc in cols] for r in rsel]
-    det = exactalg.det_int(sub)
+    rsel, det = exactalg._minor(block)
     violations = []
     if det % p != 0:
         violations.append(f"det {det} not divisible by p={p}")
@@ -166,7 +165,8 @@ def extract_certificate(aug: AugmentedMatrix) -> Certificate:
         violations.append(
             f"|det| = {abs(det)} outside [{p}, 2^{k} = {2 ** k}]"
         )
-    if not all(check_star(sub)):
+    star = [[e for j, e in rows[r].items() if j in place] for r in rsel]
+    if not all(check_star(star)):
         violations.append("a selected row violates the multiset condition")
     return Certificate(ell, rsel, cols, det, tuple(violations))
 

@@ -9,7 +9,6 @@ stays for the certificates' rank checks."""
 
 from __future__ import annotations
 
-from math import prod
 from typing import NamedTuple
 
 from knotcol import exactalg
@@ -290,7 +289,8 @@ def _affine_representatives(space: ColoringSpace, p: int, nreg: int):
     region 0 colored 0.  The first nonzero coordinate of sum c_i b_i is the
     first nonzero c_i: the representatives are b_i + span(b_(i+1), ...).
     """
-    pivots = exactalg._eliminate([b.values for b in space.basis], p)
+    pivots = exactalg._eliminate_rows(
+        exactalg.as_sparse([b.values for b in space.basis]).rows, p)
     rows = [tuple(pivots[c].get(j, 0) for j in range(nreg))
             for c in sorted(pivots) if c]
     for i, head in enumerate(rows):
@@ -338,21 +338,15 @@ def alexander_matrix_at_minus_one(d: Diagram) -> SparseMatrix:
 def knot_determinant(d: Diagram) -> int:
     """det(K) = |det G'|, G' the Goeritz matrix G of `_goeritz` without its
     last row and column (Goeritz, 1933; Gordon and Litherland, 1978, for
-    every diagram, with the signs of `_goeritz`), read off the pivots of
-    the one Euclid elimination of G' over Z that `rank_int` runs.
+    every diagram, with the signs of `_goeritz`), read off by
+    `exactalg._minor` from one Euclid elimination of G' over Z.
 
-    G' is square, of order k = |S| - 1.  The elimination adds integer
-    multiples of rows to other rows, which keeps the determinant, and
-    renames the columns, which changes at most its sign.  It leaves each
-    pivot row at its own index.  With k pivots, in k distinct columns, the
-    pivot rows are then a triangular matrix up to the order of its rows and
-    columns, and |det G'| is the product of the |pivot entries|; fewer
-    pivots mean det G' = 0.  The empty G' of |S| = 1 has determinant 1.
+    G' is square, of order k = |S| - 1.  Its columns go in `_rcm_rows`
+    order, which keeps the elimination near a band on the larger classes,
+    and renaming them changes at most the sign of the determinant.  The
+    empty G' of |S| = 1 has determinant 1.
     """
     regions, g, _ = _goeritz(d, checkerboard(d))
     k = len(regions) - 1
     minor = SparseMatrix([{j: v for j, v in r.items() if j < k} for r in g.rows[:k]], k)
-    pivots = exactalg._echelon(minor)[0]
-    if len(pivots) < k:
-        return 0
-    return abs(prod(r[c] for c, r in pivots.items()))
+    return abs(exactalg._minor(exactalg._rcm_rows(minor)[0])[1])

@@ -6,7 +6,8 @@ a column count.  The public rank, nullspace and Smith entry points also
 take a dense list of integer rows (tuples are read alike), which
 `as_sparse` converts once; `det_int` takes a dense square one.  A
 vector mod p is a tuple of residues in [0, p).  No public function here
-changes its input.
+changes its input.  One sparse elimination, `_eliminate_rows`, does all
+the row reduction, and `_minor` reads every determinant off it.
 """
 
 from __future__ import annotations
@@ -89,11 +90,9 @@ def as_sparse(m) -> SparseMatrix:
                         len(m[0]) if m else 0)
 
 
-def _reduced(rows, p=None) -> list:
-    """A new list of the sparse rows, reduced mod p when p is given: the
-    residues in [0, p), and no entry that p divides."""
-    if p is None:
-        return list(rows)
+def _reduced(rows, p) -> list:
+    """A new list of the sparse rows reduced mod p: the residues in [0, p),
+    and no entry that p divides."""
     return [{j: x for j, v in r.items() if (x := v % p)} for r in rows]
 
 
@@ -111,26 +110,16 @@ def _rcm_rows(m: SparseMatrix, p=None):
     the coloring, Alexander and Fox matrices take O(n) row updates (the Fox
     matrix of T(2, 201) at 3 takes 333, and 5,397 left to right).  Renaming
     the columns multiplies m on the right by a permutation matrix, which is
-    unimodular, so the rank and the Smith form stay.  An entry that p
-    divides joins no columns, so the order is that of the rows reduced mod
-    p; each row is reduced and renamed in one pass.
+    unimodular, so the rank and the Smith form stay.  The order reads the
+    stored entries of m whatever p is; each row is reduced and renamed in
+    one pass.
     """
     rows = m.rows
     ncols = m.ncols
     rows_of = [[] for _ in range(ncols)]
-    pattern = rows  # row i's columns, as the order reads them
     for i, r in enumerate(rows):
-        if p is None:
-            for j in r:
-                rows_of[j].append(i)
-            continue
-        for j, v in r.items():
-            if v % p:
-                rows_of[j].append(i)
-            else:
-                if pattern is rows:
-                    pattern = list(rows)
-                pattern[i] = [j for j, v in r.items() if v % p]
+        for j in r:
+            rows_of[j].append(i)
     by_count = sorted(range(ncols), key=list(map(len, rows_of)).__getitem__)
     place = [0] * ncols  # column -> its place in by_count
     for k, j in enumerate(by_count):
@@ -149,7 +138,7 @@ def _rcm_rows(m: SparseMatrix, p=None):
             for i in rows_of[order[head]]:
                 if not row_seen[i]:
                     row_seen[i] = True
-                    for j in pattern[i]:
+                    for j in rows[i]:
                         if not seen[j]:
                             seen[j] = True
                             reached.append(j)
@@ -163,11 +152,6 @@ def _rcm_rows(m: SparseMatrix, p=None):
     if p is None:
         return [{new[j]: v for j, v in r.items()} for r in rows], order
     return [{new[j]: x for j, v in r.items() if (x := v % p)} for r in rows], order
-
-
-def _eliminate(m, p=None) -> dict:
-    """`_eliminate_rows` on the rows of m, columns left to right."""
-    return _eliminate_rows(_reduced(as_sparse(m).rows, p), p)
 
 
 def _echelon(m, p=None):
@@ -252,6 +236,28 @@ def _clear(r: dict, piv: dict, c: int, p) -> dict:
         else:
             del out[j]
     return out
+
+
+def _minor(rows) -> tuple:
+    """(cols, det) of the sparse rows, from one `_eliminate_rows` over Z of
+    a new list of them: cols the pivot columns, increasing, and det the
+    determinant of the rows at cols, 0 unless every row holds a pivot.
+    Row additions keep every minor, and each pivot row stays at its own
+    index, leading in its pivot column; so det is the product of the
+    pivots times the sign that sorts the rows by the rank of that column.
+    """
+    rows = list(rows)
+    pivots = _eliminate_rows(rows)
+    cols = tuple(sorted(pivots))
+    if len(pivots) < len(rows):
+        return cols, 0
+    rank = {c: t for t, c in enumerate(cols)}
+    lead = [rank[min(r)] for r in rows]
+    sign = 1
+    for i in range(len(lead)):
+        while (j := lead[i]) != i:  # each swap puts one leading column home
+            lead[i], lead[j], sign = lead[j], j, -sign
+    return cols, sign * prod(r[c] for c, r in pivots.items())
 
 
 def rank_mod_p(m, p: int) -> int:
@@ -384,22 +390,11 @@ def det_bareiss_small(rows):
 
 
 def det_int(m) -> int:
-    """Exact determinant of a square integer matrix.  `_eliminate_rows` over
-    Z keeps det and leaves each pivot row at its own index, so det is the
-    pivots' product times the sign of sorting the rows by leading column."""
+    """Exact determinant of a square integer matrix, read off `_minor`."""
     n = len(m)
     if any(len(r) != n for r in m):
         raise ValueError("determinant requires a square matrix")
-    rows = as_sparse(m).rows
-    pivots = _eliminate_rows(rows)
-    if len(pivots) < n:
-        return 0
-    lead = [min(r) for r in rows]
-    sign = 1
-    for i in range(n):
-        while (j := lead[i]) != i:  # each swap puts one leading column home
-            lead[i], lead[j], sign = lead[j], j, -sign
-    return sign * prod(r[c] for c, r in pivots.items())
+    return _minor(as_sparse(m).rows)[1]
 
 
 def rank_int(m) -> int:

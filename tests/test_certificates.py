@@ -1,9 +1,10 @@
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
 import pytest
 
-from conftest import dense, dividing_primes, random_star_matrix
+from conftest import dense, dividing_primes, random_star_matrix, torus_pd
 from knotcol import exactalg
 from knotcol.certificates import (
     STAR_MULTISETS,
@@ -25,7 +26,8 @@ from knotcol.coloring import (
     colorings,
     knot_determinant,
 )
-from knotcol.diagram import catalog_diagram
+from knotcol.cli import _first_nontrivial
+from knotcol.diagram import build_diagram, catalog_diagram, parse_pd
 from knotcol.exactalg import SparseMatrix
 
 
@@ -280,3 +282,34 @@ def test_star_bound_tightness():
         m = [[2 if i == j else 0 for j in range(k)] for i in range(k)]
         assert all(check_star(m))
         assert abs(exactalg.det_int(m)) == 2 ** k
+
+
+def test_certificate_eliminates_twice_and_builds_no_dense_minor(monkeypatch):
+    # T(2, 1009) at 1009, with the coloring certify takes: the order-1008
+    # minor is found and its determinant read off two eliminations of
+    # sparse rows, with no det_int call and no dense minor (measured peak
+    # 0.88 MB; 9.64 MB and three eliminations when the minor was dense)
+    n = 1009
+    d = build_diagram(parse_pd(torus_pd(n)))
+    aug = augmented_matrix(d, _first_nontrivial(d, colorings(d, n, budget=0)))
+    calls = []
+    eliminate = exactalg._eliminate_rows
+
+    def recording(rows, *args, **kwargs):
+        calls.append(len(rows))
+        return eliminate(rows, *args, **kwargs)
+
+    def refusing(m):
+        raise AssertionError("extract_certificate called det_int")
+
+    monkeypatch.setattr(exactalg, "_eliminate_rows", recording)
+    monkeypatch.setattr(exactalg, "det_int", refusing)
+    tracemalloc.start()
+    try:
+        cert = extract_certificate(aug)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == [n + 1, n - 1]  # the merged rows, then the block
+    assert cert.ell == n and not cert.violations
+    assert peak < 2 * 2 ** 20, peak

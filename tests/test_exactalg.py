@@ -175,23 +175,59 @@ def test_det_singular_and_empty():
 
 
 @pytest.mark.parametrize("n", [n for n in range(11, 102) if is_odd_prime(n)])
-def test_det_certificate_minors_match_bareiss(n, monkeypatch):
-    # T(2, n) at p = n: the minor extract_certificate hands to det_int,
-    # for the coloring certify takes, of order up to 100
+def test_det_certificate_minors_match_bareiss(n):
+    # T(2, n) at p = n: the certificate's minor, for the coloring certify
+    # takes, of order up to 100, built here from the merged rows at the
+    # certificate's rows and columns
     d = build_diagram(parse_pd(torus_pd(n)))
     c = next(c for c in reversed(colorings(d, n, budget=0).basis)
              if classify(d, c) == NONTRIVIAL)
-    minors = []
-
-    def recording(m):
-        minors.append(m)
-        return det_int(m)
-
-    monkeypatch.setattr(exactalg, "det_int", recording)
-    cert = certificates.extract_certificate(certificates.augmented_matrix(d, c))
-    (sub,) = minors
+    aug = certificates.augmented_matrix(d, c)
+    cert = certificates.extract_certificate(aug)
+    rows = certificates.merge_columns(aug).rows
+    sub = [[rows[r].get(cc, 0) for cc in cert.col_indices] for r in cert.row_indices]
+    assert len(sub) == n - 1
     assert det_int(sub) == det_bareiss_small(sub) == cert.det_value
     assert not cert.violations
+
+
+def _minor_blocks(seed=20261020, count=300):
+    """Integer blocks of k <= 8 rows and N <= 12 columns: full rank, with
+    rows that are sums of others, or with every entry a multiple of 3."""
+    rng = random.Random(seed)
+    for t in range(count):
+        k, ncols = rng.randint(1, 8), rng.randint(1, 12)
+        fill = rng.choice((0.3, 0.6, 1.0))
+        rows = [[rng.randint(-4, 4) if rng.random() < fill else 0
+                 for _ in range(ncols)] for _ in range(k)]
+        if t % 3 == 1 and k > 1:
+            i, j = rng.sample(range(k), 2)
+            rows[i] = [a + rng.choice((-2, 1)) * b for a, b in zip(rows[i], rows[j])]
+        elif t % 3 == 2:
+            rows = [[3 * v for v in r] for r in rows]
+        yield rows
+
+
+def test_minor_matches_greedy_basis_and_cofactor():
+    # cols is the greedy column basis, read off the ranks of the column
+    # prefixes, and det the cofactor determinant at those columns, 0 when
+    # the rows are dependent; the blocks are rarely square
+    seen = {"full": 0, "deficient": 0}
+    for rows in _minor_blocks():
+        sparse = exactalg.as_sparse(rows).rows
+        before = [dict(r) for r in sparse]
+        cols, det = exactalg._minor(sparse)
+        assert sparse == before
+        ranks = [rank_int([r[:j] for r in rows]) if j else 0
+                 for j in range(len(rows[0]) + 1)]
+        assert cols == tuple(j for j in range(len(rows[0])) if ranks[j + 1] > ranks[j])
+        if len(cols) == len(rows):
+            seen["full"] += 1
+            assert det == det_cofactor([[r[j] for j in cols] for r in rows]) != 0
+        else:
+            seen["deficient"] += 1
+            assert det == 0
+    assert min(seen.values()) >= 50, seen
 
 
 @given(st.lists(st.lists(st.integers(-20, 20), min_size=3, max_size=3),
@@ -476,19 +512,19 @@ def test_matrices_of_large_torus_knot_are_sparse():
 
 def test_rcm_rows_renames_columns():
     # the order is a permutation, and column order[k] is renamed k with its
-    # entries unchanged (reduced mod p when given); mod p it is the order
-    # of the rows reduced mod p, so an entry that p divides (3 or -3 at
-    # p = 3) joins no columns
+    # entries unchanged (reduced mod p when given); it reads the stored
+    # entries, so it is the same for every p, even where p divides an
+    # entry (3 or -3 at p = 3)
     for rows in _random_matrices(seed=11, count=100):
+        orders = []
         for p in (None, 3, 5):
             sparse, order = exactalg._rcm_rows(exactalg.as_sparse(rows), p)
             assert sorted(order) == list(range(len(rows[0])))
             for r, s in zip(rows, sparse):
                 renamed = [r[j] if p is None else r[j] % p for j in order]
                 assert s == {k: v for k, v in enumerate(renamed) if v}
-            if p is not None:
-                residues = [[v % p for v in r] for r in rows]
-                assert order == exactalg._rcm_rows(exactalg.as_sparse(residues))[1]
+            orders.append(order)
+        assert orders[0] == orders[1] == orders[2], rows
 
 
 def test_input_contract():
