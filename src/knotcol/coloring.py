@@ -9,6 +9,7 @@ stays for the certificates' rank checks."""
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import NamedTuple
 
 from knotcol import exactalg
@@ -135,13 +136,13 @@ def colorings(d: Diagram, p: int, budget: int = DEFAULT_BUDGET) -> ColoringSpace
     """The Dehn colorings of d mod p: the reduced echelon basis that
     `nullspace_mod_p` gives for the coloring matrix, its length dim, the
     count p^dim, and, when the count is at most budget, every coloring in
-    `_span` order.
+    `_span` order from 0.
 
     A coloring is y on S with G y = 0 mod p, for S and G of `_goeritz`,
     extended to U along a spanning tree of the Tait graph of U, plus a
     constant on U.  So the null vectors of G, so extended, and the vector
-    that is 1 on U and 0 on S span the colorings, and the basis is read off
-    them with the canonical step of `nullspace_mod_p`.
+    that is 1 on U and 0 on S span the colorings, and
+    `exactalg._canonical_basis` reads the basis off them.
     """
     exactalg._require_odd_prime(p)
     shading = checkerboard(d)
@@ -163,22 +164,21 @@ def colorings(d: Diagram, p: int, budget: int = DEFAULT_BUDGET) -> ColoringSpace
                 seen.add(v)
                 order.append(v)
                 tree.append((v, u, a, b))
-    last = nreg - 1
-    vectors = [{last - r: 1 for r in order}]  # coordinates reversed
+    vectors = [dict.fromkeys(order, 1)]
     for y in exactalg.nullspace_mod_p(g, p):
         x = [0] * nreg
         for r, c in zip(regions, y):
             x[r] = c
         for v, u, a, b in tree:
             x[v] = (x[u] + x[a] - x[b]) % p
-        vectors.append({last - r: c for r, c in enumerate(x) if c})
+        vectors.append(dict(compress(enumerate(x), x)))
     basis = exactalg._canonical_basis(vectors, nreg, p)
     dim = len(basis)
     count = p ** dim
     enumerated = ()
     if count <= budget:
         enumerated = tuple(
-            DehnColoring(p, v) for v in _span(basis, p, nreg)
+            DehnColoring(p, v) for v in _span(basis, p, (0,) * nreg)
         )
     return ColoringSpace(p, tuple(DehnColoring(p, b) for b in basis),
                          dim, count, enumerated)
@@ -191,17 +191,18 @@ def coloring_dimension(d: Diagram, p: int) -> int:
     return 1 + len(regions) - exactalg.rank_mod_p(g, p)
 
 
-def _span(basis, p, width):
-    """Every combination of the basis vectors v_i, in `itertools.product`
-    order of the coefficients, stepped like an odometer: when digit j goes
-    up and the digits after it wrap from p-1 to 0, the vector gains
-    carry[j] = sum of v_i for i >= j (mod p)."""
-    carry = [[0] * width]
+def _span(basis, p, start):
+    """start plus every combination of the basis vectors v_i, mod p, as
+    tuples in `itertools.product` order of the coefficients; start is a
+    vector of residues as long as the v_i.  It is stepped like an
+    odometer: when digit j goes up and the digits after it wrap from p-1
+    to 0, the vector gains carry[j] = sum of v_i for i >= j (mod p)."""
+    carry = [[0] * len(start)]
     for b in reversed(basis):
         carry.append([(x + y) % p for x, y in zip(carry[-1], b)])
     carry = carry[:0:-1]
     digits = [0] * len(carry)
-    cur = [0] * width
+    cur = start
     while True:
         yield tuple(cur)
         j = len(digits) - 1
@@ -287,15 +288,15 @@ def _affine_representatives(space: ColoringSpace, p: int, nreg: int):
     has a pivot in column 0; the other pivot rows vanish there, so they are
     an echelon basis b_1, b_2, ..., leading entries 1, of the colorings with
     region 0 colored 0.  The first nonzero coordinate of sum c_i b_i is the
-    first nonzero c_i: the representatives are b_i + span(b_(i+1), ...).
+    first nonzero c_i: the representatives are b_i + span(b_(i+1), ...),
+    which `_span` started from b_i yields, each vector built once.
     """
     pivots = exactalg._eliminate_rows(
         exactalg.as_sparse([b.values for b in space.basis]).rows, p)
     rows = [tuple(pivots[c].get(j, 0) for j in range(nreg))
             for c in sorted(pivots) if c]
     for i, head in enumerate(rows):
-        for tail in _span(rows[i + 1:], p, nreg):
-            yield tuple((x + y) % p for x, y in zip(head, tail))
+        yield from _span(rows[i + 1:], p, head)
 
 
 def fox_from_dehn(d: Diagram, c: DehnColoring) -> tuple:
@@ -338,15 +339,15 @@ def alexander_matrix_at_minus_one(d: Diagram) -> SparseMatrix:
 def knot_determinant(d: Diagram) -> int:
     """det(K) = |det G'|, G' the Goeritz matrix G of `_goeritz` without its
     last row and column (Goeritz, 1933; Gordon and Litherland, 1978, for
-    every diagram, with the signs of `_goeritz`), read off by
-    `exactalg._minor` from one Euclid elimination of G' over Z.
+    every diagram, with the signs of `_goeritz`).  `exactalg._minor` reads
+    it off one Euclid elimination over Z of the first k = |S| - 1 rows of
+    G, all |S| columns in `_rcm_rows` order, which fills in little.
 
-    G' is square, of order k = |S| - 1.  Its columns go in `_rcm_rows`
-    order, which keeps the elimination near a band on the larger classes,
-    and renaming them changes at most the sign of the determinant.  The
-    empty G' of |S| = 1 has determinant 1.
+    The rows and the columns of G, a sum of eps (e_s - e_t)(e_s - e_t)^T,
+    sum to 0, so all its k-cofactors are equal.  If G' is nonsingular, the
+    k rows have rank k and `_minor` gives a k-minor of them, a cofactor up
+    to sign; else every cofactor is 0, and so is `_minor`'s.  |S| = 1
+    leaves no row and the determinant 1.
     """
-    regions, g, _ = _goeritz(d, checkerboard(d))
-    k = len(regions) - 1
-    minor = SparseMatrix([{j: v for j, v in r.items() if j < k} for r in g.rows[:k]], k)
-    return abs(exactalg._minor(exactalg._rcm_rows(minor)[0])[1])
+    _, g, _ = _goeritz(d, checkerboard(d))
+    return abs(exactalg._minor(exactalg._rcm_rows(g)[0][:-1])[1])

@@ -162,7 +162,7 @@ def _echelon(m, p=None):
     return _eliminate_rows(rows, p), order
 
 
-def _eliminate_rows(rows, p=None, reduced=False) -> dict:
+def _eliminate_rows(rows, p=None) -> dict:
     """Sparse row reduction over Z_p, or over Z when p is None, of a list
     of rows {column: nonzero}; it replaces the list's entries but never
     changes a row dict, so pivot rows it returns may be eliminated again.
@@ -175,8 +175,7 @@ def _eliminate_rows(rows, p=None, reduced=False) -> dict:
     then the lowest index; `_clear` replaces each other row with a nonzero
     in c by its remainder, and a nonzero remainder sends that row and the
     pivot back to c.  Returns {pivot column: row as a dict}, pivots scaled
-    to 1 over Z_p; `reduced` (over Z_p) back substitutes in decreasing
-    pivot column order to reduced echelon form.
+    to 1 over Z_p.
 
     Termination: a nonzero remainder is smaller than the pivot, so the
     least |entry| in column c strictly falls; over Z_p every remainder is 0.
@@ -214,11 +213,6 @@ def _eliminate_rows(rows, p=None, reduced=False) -> dict:
             lead[c].append(k)
         else:
             pivots[c] = piv
-    if reduced:
-        for c in sorted(pivots, reverse=True):
-            for c2 in pivots:
-                if c2 < c and c in pivots[c2]:
-                    pivots[c2] = _clear(pivots[c2], pivots[c], c, p)
     return pivots
 
 
@@ -323,18 +317,14 @@ def nullspace_mod_p(m, p: int) -> list:
     (a non-pivot column of m taken left to right), returned in increasing
     order of that coordinate, so the output is deterministic.
 
-    m is eliminated in `_rcm_rows` order, and one null vector per free
-    column of that order is back solved from the echelon rows.  That basis
-    is then made canonical: the reduced echelon basis above depends only on
-    the null space N, and its free coordinates are the last nonzero
-    positions of the vectors of N, so one reduced elimination of the basis
-    with its columns reversed gives it, pivots last coordinate first.
+    m is eliminated in `_rcm_rows` order, one null vector per free column
+    of that order is back solved from the echelon rows into the columns of
+    m, and `_canonical_basis` makes that basis canonical.
     """
     _require_odd_prime(p)
     pivots, order = _echelon(m, p)
     ncols = len(order)
     back = sorted(pivots, reverse=True)
-    reverse = [ncols - 1 - j for j in order]  # renamed k -> reversed m column
     solved = []
     for free in range(ncols):
         if free in pivots:
@@ -345,24 +335,27 @@ def nullspace_mod_p(m, p: int) -> list:
             # row c has 1 at c, where x is still 0, and the rest further on
             r = pivots[c]
             x[c] = -sum(map(mul, r.values(), map(x.__getitem__, r))) % p
-        solved.append(dict(zip(compress(reverse, x), filter(None, x))))
+        solved.append(dict(zip(compress(order, x), filter(None, x))))
     return _canonical_basis(solved, ncols, p)
 
 
 def _canonical_basis(vectors, ncols, p) -> list:
     """The reduced echelon basis of the span over Z_p of vectors of length
-    ncols, each given as a dict {ncols - 1 - j: nonzero x_j}, that is, with
-    its coordinates reversed; it is the basis `nullspace_mod_p` returns
-    when the span is a null space.  One reduced elimination of the
-    reversed vectors puts the pivots at the last nonzero positions, and the
-    basis is read off it in increasing order of those."""
-    canon = _eliminate_rows(vectors, p, reduced=True)
+    ncols, each a dict {j: nonzero x_j}: the basis `nullspace_mod_p`
+    returns when the span is a null space.  Its free coordinates are the
+    last nonzero positions of the vectors of the span, so the vectors are
+    eliminated with their coordinates reversed, the one place that
+    reverses them, and back substituted pivot by pivot, last first; the
+    basis is read off in increasing order of those positions."""
+    last = ncols - 1
+    canon = _eliminate_rows([{last - j: x for j, x in v.items()}
+                             for v in vectors], p)
     basis = []
     for c in sorted(canon, reverse=True):
-        v = [0] * ncols
-        for j, x in canon[c].items():
-            v[j] = x
-        basis.append(tuple(reversed(v)))
+        for c2 in canon:
+            if c2 < c and c in canon[c2]:
+                canon[c2] = _clear(canon[c2], canon[c], c, p)
+        basis.append(tuple(canon[c].get(last - j, 0) for j in range(ncols)))
     return basis
 
 

@@ -10,6 +10,8 @@ from conftest import (
     brute_dehn_colorings,
     brute_fox_count,
     change_crossings,
+    det_cofactor,
+    dense,
     dense_alexander_matrix,
     dense_augmented_matrix,
     dense_coloring_matrix,
@@ -240,7 +242,7 @@ def _assert_projective_representatives(d, p):
     inv = pow(pivot[0], -1, p)
     basis = [tuple((x - v[0] * inv * y) % p for x, y in zip(v, pivot))
              for v in vectors]
-    expected = {v for v in _span(basis, p, d.nregions)
+    expected = {v for v in _span(basis, p, [0] * d.nregions)
                 if next((x for x in v if x), None) == 1}
     assert set(got) == expected, p
 
@@ -465,6 +467,36 @@ def test_goeritz_route_matches_coloring_matrix():
             assert coloring_dimension(d, p) == d.nregions - exactalg.rank_mod_p(m, p), (d.pd, p)
 
 
+def test_every_goeritz_cofactor_is_the_determinant():
+    # knot_determinant reads a (|S| - 1)-minor of the first |S| - 1 rows of
+    # the Goeritz matrix G, whichever columns its elimination picks; that
+    # rests on every (|S| - 1)-cofactor of G having absolute value det(K).
+    # Checked for each deleted row and column by cofactor expansion, on
+    # alternating diagrams and on crossing-changed, non-alternating copies
+    texts = [*CATALOG.values(), *map(torus_pd, (3, 5, 7, 9, 11, 13))]
+    texts += [pretzel_pd(t) for t in seeded_pretzels(35, 16)]
+    rng = random.Random(35)
+    texts += [change_crossings(t, rng.sample(range(n), rng.randrange(1, n)))
+              for t in texts * 2 for n in [t.count("X")]]
+    checked = mixed = 0
+    for text in texts:
+        d = build_diagram(parse_pd(text))
+        regions, g, _ = coloring._goeritz(d, checkerboard(d))
+        k = len(regions)
+        if k > 7:
+            continue
+        det = knot_determinant(d)
+        assert det == alexander_determinant(d), text
+        rows = dense(g)
+        for i in range(k):
+            for j in range(k):
+                minor = [r[:j] + r[j + 1:] for t, r in enumerate(rows) if t != i]
+                assert abs(det_cofactor(minor)) == det, (text, i, j)
+        checked += 1
+        mixed += len({checkerboard(d)[x1] for x1, _, _, _ in d.relations}) == 2
+    assert checked >= 90 and mixed >= 60, (checked, mixed)
+
+
 def test_rank_statements_trefoil(trefoil):
     m = coloring_matrix(trefoil)
     assert exactalg.rank_int(m) == 3
@@ -506,6 +538,8 @@ def test_ranks_of_large_torus_knots(n):
 
 
 def test_span_matches_product_order():
+    # start plus each combination, coefficients in itertools.product order;
+    # the zero start gives the combinations alone
     rng = random.Random(41)
     for p in (3, 5, 7):
         for dim in range(4):
@@ -513,8 +547,11 @@ def test_span_matches_product_order():
                 width = rng.randint(1, 6)
                 basis = [tuple(rng.randrange(p) for _ in range(width))
                          for _ in range(dim)]
-                expected = [
-                    tuple(sum(c * b[j] for c, b in zip(coeffs, basis)) % p
-                          for j in range(width))
-                    for coeffs in product(range(p), repeat=dim)]
-                assert list(_span(basis, p, width)) == expected, (p, basis)
+                for start in ([0] * width,
+                              [rng.randrange(p) for _ in range(width)],
+                              tuple(rng.randrange(1, p) for _ in range(width))):
+                    expected = [
+                        tuple((start[j] + sum(c * b[j] for c, b in zip(coeffs, basis)))
+                              % p for j in range(width))
+                        for coeffs in product(range(p), repeat=dim)]
+                    assert list(_span(basis, p, start)) == expected, (p, basis, start)

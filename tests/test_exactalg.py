@@ -349,11 +349,18 @@ def test_nullspace_of_catalog_coloring_matrices(catalog):
 
 
 def _nullspace_left_to_right(m, p):
-    """The reduced echelon basis read off one reduced elimination of m with
-    its columns left to right: free columns are the non-pivot ones."""
+    """The reduced echelon basis read off one elimination of m with its
+    columns left to right, back substituted here in decreasing pivot
+    column order: free columns are the non-pivot ones."""
     m = exactalg.as_sparse(m)
     ncols = m.ncols
-    pivots = exactalg._eliminate_rows(exactalg._reduced(m.rows, p), p, reduced=True)
+    pivots = exactalg._eliminate_rows(exactalg._reduced(m.rows, p), p)
+    for c in sorted(pivots, reverse=True):
+        for c2, r in pivots.items():
+            if c2 < c and c in r:
+                f = r[c]
+                pivots[c2] = {j: x for j in set(r) | set(pivots[c])
+                              if (x := (r.get(j, 0) - f * pivots[c].get(j, 0)) % p)}
     basis = []
     for free in range(ncols):
         if free not in pivots:
@@ -398,6 +405,42 @@ def test_nullspace_matches_left_to_right_reference(catalog):
     got = nullspace_mod_p(m, 5)
     assert len(got) == 4
     assert got == _nullspace_left_to_right(m, 5)
+
+
+def test_canonical_basis_of_spanning_sets():
+    # _canonical_basis takes vectors {j: nonzero x_j} in natural coordinates
+    # and returns the reduced echelon basis of their span, whatever spanning
+    # set of it it is given: the basis itself, invertible combinations of
+    # it, extra combinations, repeats, zero vectors, in any order
+    rng = random.Random(2026)
+
+    def sparse(v):
+        return {j: x for j, x in enumerate(v) if x}
+
+    def combine(coeffs, basis, ncols, p):
+        return [sum(c * b[j] for c, b in zip(coeffs, basis)) % p
+                for j in range(ncols)]
+
+    for rows in _random_matrices():
+        ncols = len(rows[0])
+        for p in (3, 5, 7):
+            basis = _nullspace_gauss_jordan(rows, ncols, p)
+            dim = len(basis)
+            # row i is s_i b_i plus multiples of the b_j before it, s_i != 0
+            mixed = [combine([rng.randrange(p) for _ in range(i)]
+                             + [rng.randrange(1, p)] + [0] * (dim - i - 1),
+                             basis, ncols, p) for i in range(dim)]
+            extra = [combine([rng.randrange(p) for _ in range(dim)], basis,
+                             ncols, p) for _ in range(rng.randint(1, 3))]
+            padded = basis + basis[:rng.randint(0, dim)] + [[0] * ncols] * 2
+            for vectors in (basis, mixed, mixed + extra, padded, extra + padded):
+                vectors = list(vectors)
+                for _ in range(2):
+                    got = exactalg._canonical_basis(list(map(sparse, vectors)), ncols, p)
+                    assert got == basis, (rows, p, vectors)
+                    rng.shuffle(vectors)
+    assert exactalg._canonical_basis([], 4, 5) == []
+    assert exactalg._canonical_basis([{}, {}], 4, 5) == []
 
 
 def test_ranks_appending_match_ranks_of_stacked_rows(catalog):
@@ -633,11 +676,11 @@ def test_rank_checks_eliminate_coloring_matrix_once(monkeypatch):
     inside = []
     eliminate, clear = exactalg._eliminate_rows, exactalg._clear
 
-    def recording(rows, p=None, reduced=False):
+    def recording(rows, p=None):
         calls.append((len(rows), p))
         inside.append(p)
         try:
-            return eliminate(rows, p, reduced)
+            return eliminate(rows, p)
         finally:
             inside.pop()
 
