@@ -9,16 +9,18 @@ of each crossing relation, the over-arcs and the checkerboard shading.
 A dart is one of the two slot occurrences of a semiarc, written
 (crossing index, position), and numbered 4 * crossing + position inside
 this module, where the per-dart data are flat lists.  The darts are
-paired once per PD code, on first read, for the parser and the builder
-both.  Faces are the orbits of "cross the semiarc, then rotate one
-position counterclockwise", which for a planar code yields exactly n + 2
-faces.
+sorted by label once per PD code, on first read: consecutive darts of
+that order are the pairs, for the parser, and the builder numbers the
+regions in it.  Faces are the orbits of "cross the semiarc, then rotate
+one position counterclockwise", which for a planar code yields exactly
+n + 2 faces.
 
 A `Diagram` is its PD code, the regions of each crossing relation and,
 built on first read and kept, the arc of each semiarc and the checkerboard
 shading.  Every dart lies in one corner of a relation, so the regions
 beside a semiarc, and the Fox colors a Dehn coloring gives, are read off
-the relations.
+the relations.  The shading is read off one walk along the knot, the walk
+that validates the code.
 """
 
 from __future__ import annotations
@@ -46,21 +48,22 @@ class PDCode(_PDCodeFields):
 
     @cached_property
     def _darts(self):
-        """The label of each dart, the other dart of its semiarc, and each
-        label's first dart, the lists indexed by dart id, computed on first
-        read.  Raises PDError unless the 4n darts carry 2n labels, each
-        exactly twice."""
+        """The label of each dart and the other dart of its semiarc, lists
+        indexed by dart id; each label's first dart; and the darts in a
+        stable sort by label; computed on first read.  Raises PDError
+        unless the 4n darts carry 2n labels, each exactly twice.
+
+        The one sort pairs the darts: when each label appears twice, places
+        2i and 2i + 1 of the sorted darts carry one label, the label's first
+        dart at 2i, and the labels at the even places are distinct."""
         labels = [a for q in self.crossings for a in q]
         m = len(labels)
-        first = {}
-        other = [-1] * m
-        for d, a in enumerate(labels):
-            f = first.setdefault(a, d)
-            if f != d:
-                other[f] = d
-                other[d] = f
-        # with 2n labels on 4n darts and none seen once, none is seen 3 times
-        if 2 * len(first) != m or m != 4 * self.n or -1 in other:
+        by_label = sorted(range(m), key=labels.__getitem__)
+        sorted_labels = list(map(labels.__getitem__, by_label))
+        firsts, seconds = by_label[0::2], by_label[1::2]
+        first = dict(zip(sorted_labels[0::2], firsts))
+        if (m != 4 * self.n or sorted_labels[0::2] != sorted_labels[1::2]
+                or 2 * len(first) != m):
             counts = {}
             for a in labels:
                 counts[a] = counts.get(a, 0) + 1
@@ -71,7 +74,11 @@ class PDCode(_PDCodeFields):
             raise PDError(
                 f"invalid PD code: {len(counts)} semiarc labels for {self.n} crossings"
             )
-        return labels, other, first
+        other = [0] * m
+        for a, b in zip(firsts, seconds):
+            other[a] = b
+            other[b] = a
+        return labels, other, first, by_label
 
 
 def parse_pd(text: str) -> PDCode:
@@ -124,13 +131,14 @@ def _pd_text_refusal(text: str) -> PDError:
     return PDError("cannot parse PD text")
 
 
-def _cycles(succ):
+def _cycles(succ, starts):
     """The number of cycles of the permutation succ of range(len(succ)),
-    and the index of the cycle of each element, cycles numbered in
-    increasing order of their least element."""
+    and the index of the cycle of each element, cycles numbered in the
+    order in which starts, a sequence of all the elements, first meets
+    them."""
     cycle_of = [-1] * len(succ)
     k = 0
-    for start in range(len(succ)):
+    for start in starts:
         if cycle_of[start] < 0:
             d = start
             while cycle_of[d] < 0:
@@ -152,7 +160,8 @@ def validate_pd(pd: PDCode) -> PDCode:
     while d:
         steps, d = steps + 1, other[d ^ 2]
     if steps != 2 * pd.n:
-        count = _cycles([other[d ^ 2] for d in range(len(other))])[0] // 2
+        darts = range(len(other))
+        count = _cycles([other[d ^ 2] for d in darts], darts)[0] // 2
         raise PDError(
             f"PD code describes a link with {count} components; only knots are supported"
         )
@@ -182,6 +191,13 @@ def components(items, pairs) -> dict:
             parent[r] = r = parent[parent[r]]
         parent[a] = r
     return parent
+
+
+# indexed by a position k, the relation slot (x1, x2, x3, x4) of the corner
+# between positions k and k + 1, and of the corner between k - 1 and k, of
+# a crossing (see build_diagram)
+_CORNER_AFTER = (0, 2, 3, 1)
+_CORNER_BEFORE = (1, 0, 2, 3)
 
 
 class _DiagramFields(NamedTuple):
@@ -215,42 +231,84 @@ class Diagram(_DiagramFields):
 
     @cached_property
     def _shading(self) -> tuple:
-        """The shading that `checkerboard` returns, built on first read."""
-        root = components(range(self.nregions), (
-            pair for x1, x2, x3, x4 in self.relations for pair in ((x1, x4), (x2, x3))))
-        if len(set(root.values())) != 2:
+        """The shading that `checkerboard` returns, built on first read.
+
+        It is read off the walk along the knot that `validate_pd` takes,
+        which enters every semiarc once.  Adjacent corners of a crossing
+        lie across one strand, so they differ in shade.  A passage that
+        enters at position k has the corner between k and k + 1 on one
+        side of its semiarc and the corner between k - 1 and k on the
+        other.  On the first side, across the strand through k + 1, the
+        corner between k + 1 and k + 2 borders the leaving semiarc, so it
+        lies in the region of the next passage's first corner: the corners
+        between k and k + 1 alternate shade along the walk, and the corners
+        between k - 1 and k take the other shade.  Every region borders
+        some semiarc, so the walk shades every region of a knot; a link's
+        other components are walked from a semiarc with one side shaded.
+
+        Then every relation is checked: x1 and x4 share a shade, as do x2
+        and x3, and x1 and x2 differ, so the two sides of every semiarc
+        differ.  Region 0 is shaded 0.
+        """
+        rel = self.relations
+        if len(rel) < self.n:
             raise PDError("disconnected region adjacency; corrupt input")
-        if any(root[x1] == root[x2] for x1, x2, _, _ in self.relations):
-            raise PDError("diagram not checkerboard-colorable; corrupt input")
-        return tuple(int(root[r] != root[0]) for r in range(self.nregions))
+        other = self.pd._darts[1]
+        after, before = _CORNER_AFTER, _CORNER_BEFORE
+        shade = [None] * self.nregions
+        start, s = 0, 0
+        while True:
+            d = start
+            while True:
+                x, k = rel[d >> 2], d & 3
+                shade[x[after[k]]] = s
+                s ^= 1
+                shade[x[before[k]]] = s
+                d = other[d ^ 2]
+                if d == start:
+                    break
+            if None not in shade:
+                break
+            for start in range(len(other)):
+                x, k = rel[start >> 2], start & 3
+                ahead, behind = shade[x[after[k]]], shade[x[before[k]]]
+                if (ahead is None) != (behind is None):
+                    break
+            else:
+                raise PDError("disconnected region adjacency; corrupt input")
+            s = 1 - behind if ahead is None else ahead
+        for x1, x2, x3, x4 in rel:
+            if shade[x1] != shade[x4] or shade[x2] != shade[x3] or shade[x1] == shade[x2]:
+                raise PDError("diagram not checkerboard-colorable; corrupt input")
+        if shade[0]:
+            return tuple(1 - v for v in shade)
+        return tuple(shade)
 
     def semiarc_regions(self, semiarc: int):
         """The regions of the two darts of a semiarc, in dart order; KeyError
-        for a label that is not in the code.  Dart (c, k) lies in relation
-        slot (1, 0, 2, 3)[k] of crossing c (see build_diagram)."""
-        _, other, first = self.pd._darts
+        for a label that is not in the code.  Dart (c, k) lies in the corner
+        between positions k - 1 and k of crossing c."""
+        _, other, first, _ = self.pd._darts
         d = first[semiarc]
-        return tuple(self.relations[e >> 2][(1, 0, 2, 3)[e & 3]] for e in (d, other[d]))
+        return tuple(self.relations[e >> 2][_CORNER_BEFORE[e & 3]] for e in (d, other[d]))
 
 
 def build_diagram(pd: PDCode) -> Diagram:
     n = pd.n
-    labels, other, _ = pd._darts
-    # the face orbit step: the other dart, rotated one position
-    nfaces, face_of = _cycles([o - (o & 3) + ((o + 1) & 3) for o in other])
+    _, other, _, by_label = pd._darts
+    # the face orbit step: the other dart, rotated one position by turn,
+    # which sends 4c + k to 4c + (k + 1) % 4
+    turn = list(range(1, 4 * n + 1))
+    turn[3::4] = range(0, 4 * n, 4)
+    # regions in increasing order of their least (label, side) over their
+    # darts, side 0 at the label's first dart: the darts' stable sort by
+    # label puts them in (label, side) order, so the faces are numbered in
+    # the order in which it meets them
+    nfaces, region = _cycles(list(map(turn.__getitem__, other)), by_label)
     if nfaces != n + 2:
         raise PDError(
             f"non-planar or corrupt PD code: {nfaces} faces, expected {n + 2}"
         )
-
-    # regions in increasing order of their least (label, side) over their
-    # darts, side 0 at the label's first dart: a stable sort of the darts
-    # by label puts them in (label, side) order, and each face is placed
-    # where its first dart comes
-    by_label = sorted(range(len(labels)), key=labels.__getitem__)
-    order = dict.fromkeys(map(face_of.__getitem__, by_label))
-    rank = dict(zip(order, range(len(order))))
-    region = list(map(rank.__getitem__, face_of))
 
     # the face orbit reaching dart (c, p+1) turns through the corner between
     # positions p and p+1, so that corner lies in its face: the corners q01,
@@ -264,10 +322,12 @@ def build_diagram(pd: PDCode) -> Diagram:
 
 def checkerboard(d: Diagram) -> tuple:
     """Proper 2-shading of the regions, region index -> 0 or 1, with region
-    0 shaded 0: the Tait graphs' vertex sets, classes of the opposite corners
-    x1 ~ x4, x2 ~ x3, so x1 !~ x2 checks all four adjacent corner pairs.
-    The diagram keeps the shading on first read, so the coloring solve and
-    the certificate of one diagram shade it once."""
+    0 shaded 0: the Tait graphs' vertex sets.  The corners on one side of
+    the knot alternate shade along one walk of it, and every relation is
+    checked, x1 and x4 alike, x2 and x3 alike, x1 and x2 not, which covers
+    all four adjacent corner pairs.  The diagram keeps the shading on first
+    read, so the coloring solve and the certificate of one diagram shade it
+    once."""
     return d._shading
 
 

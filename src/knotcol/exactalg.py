@@ -13,7 +13,7 @@ the row reduction, and `_minor` reads every determinant off it.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from itertools import compress
+from itertools import compress, repeat
 from math import gcd, prod
 from operator import mul
 from typing import NamedTuple
@@ -355,7 +355,7 @@ def _canonical_basis(vectors, ncols, p) -> list:
         for c2 in canon:
             if c2 < c and c in canon[c2]:
                 canon[c2] = _clear(canon[c2], canon[c], c, p)
-        basis.append(tuple(canon[c].get(last - j, 0) for j in range(ncols)))
+        basis.append(tuple(map(canon[c].get, range(last, -1, -1), repeat(0))))
     return basis
 
 

@@ -38,6 +38,18 @@ from knotcol.diagram import (
 TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 FIG8_JSON = "[[4,2,5,1],[8,6,1,5],[6,3,7,4],[2,7,3,8]]"
 KINK = "X[1,2,2,1]"
+# two-component links: the Hopf link, the (2, 4) torus link, the
+# Whitehead link, the Hopf link with a kink, either way, in the component
+# that dart 0 is not on, whose loop no semiarc of the other component
+# borders, and with a kink in each component, so that the second walk's
+# first shade must agree with the first walk's
+LINKS = ("X[1,3,2,4] X[3,1,4,2]",
+         "X[6,1,7,2] X[8,3,5,4] X[2,5,3,6] X[4,7,1,8]",
+         "X[6,1,7,2] X[10,7,5,8] X[4,5,1,6] X[2,10,3,9] X[8,4,9,3]",
+         "X[1,3,2,5] X[3,1,4,2] X[4,6,6,5]",
+         "X[1,3,2,5] X[3,1,4,2] X[4,5,6,6]",
+         "X[1,3,2,5] X[3,1,4,7] X[4,6,6,5] X[2,8,8,7]",
+         "X[1,3,2,5] X[3,1,4,7] X[4,5,6,6] X[2,7,8,8]")
 
 
 def test_parse_pd_text():
@@ -202,14 +214,22 @@ def test_checkerboard_proper():
 
 
 def test_checkerboard_matches_reference():
-    # the classes of opposite corners against a search over the regions
-    # that share a semiarc
+    # the shading read off the walk against a search over the regions that
+    # share a semiarc.  The pairing follows the order of the labels and the
+    # walk the order of the darts, so each code is also relabeled twice,
+    # its crossings shuffled and its labels of either sign
     texts = [*CATALOG.values(), KINK]
     texts += [torus_pd(n) for n in range(3, 102, 2)]
     texts += [pretzel_pd(t) for t in seeded_pretzels(5, 20)]
-    for text in texts:
-        d = build_diagram(parse_pd(text))
-        assert checkerboard(d) == reference_checkerboard(d), text
+    pds = [parse_pd(text) for text in texts] + [PDCode(((1, 1, 2, 2),))]
+    rng = random.Random(5)
+    pds += [_relabeled(pd, rng) for pd in pds[:] for _ in range(2)]
+    # link diagrams, which validation refuses, still build; each further
+    # component is walked from a semiarc with one side shaded
+    pds += [_unvalidated(text) for text in LINKS] + [PDCode(((3, 1, 2, 4), (2, 1, 3, 4)))]
+    for pd in pds:
+        d = build_diagram(pd)
+        assert checkerboard(d) == reference_checkerboard(d), pd
 
 
 def test_checkerboard_refusals():
@@ -270,7 +290,8 @@ def _assert_matches_reference(pd):
 def test_queries_on_relations_build_no_other_view(monkeypatch):
     # det, color-count, mincol and certify read the relations, the region
     # count and the shading, which the diagram builds once, on first read,
-    # and keeps; fox builds the arc index on first read and keeps it
+    # and keeps, by a walk with no union-find; fox builds the arc index, by
+    # the one union-find, on first read and keeps it
     runs = []
 
     def counted(items, pairs):
@@ -285,10 +306,12 @@ def test_queries_on_relations_build_no_other_view(monkeypatch):
     aug = augmented_matrix(d, c)
     assert all(r.ok for r in rank_checks(aug))
     assert not extract_certificate(aug).violations
-    assert set(vars(d)) == {"_shading"} and len(runs) == 1
+    assert set(vars(d)) == {"_shading"} and not runs
     assert fox_colorings_count(d, 3) == 9
+    assert fox_colorings_count(d, 5) == 5
     arc = vars(d)["arc_of_semiarc"]
     assert d.arc_of_semiarc is arc and len(set(arc.values())) == 51
+    assert len(runs) == 1
 
 
 def test_build_diagram_matches_reference():

@@ -1,7 +1,11 @@
+import os
 import random
+import re
+import subprocess
+import sys
 import time
-import tracemalloc
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,7 @@ from conftest import (
     reference_connected_r_witness,
     to_rsubgraph,
 )
+import knotcol
 from knotcol.coloring import (
     NONTRIVIAL,
     DehnColoring,
@@ -255,16 +260,28 @@ def test_palette_graph_refuses_huge_sets_at_once():
 def test_palette_graph_refusal_builds_no_clique():
     # range(3000) joins 4,499,999,500 pairs of sums at 1,000,003, but
     # C(3000, 2) alone is under the limit; the clique sizes are counted
-    # from the differences, with no sum stored (about 0.7 MB traced peak;
-    # building the cliques first peaked at about 400 MB)
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match=f"at least 4499999500 pairs.*{PAIR_LIMIT}"):
-            palette_graph(range(3000), 1_000_003)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2 ** 20, peak
+    # from the differences, with no sum stored.  A child process refuses
+    # the set at native speed, and its peak resident set grows by under
+    # 8 MiB over the refusal: by about 0.4 MB on Linux with CPython 3.11,
+    # where building the cliques first grew it by about 400 MB
+    code = ("import resource, sys\n"
+            "from knotcol.palette import palette_graph\n"
+            "def peak():\n"
+            "    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "    return rss if sys.platform == 'darwin' else rss * 1024  # KiB on Linux\n"
+            "before = peak()\n"
+            "try:\n"
+            "    palette_graph(range(3000), 1_000_003)\n"
+            "except ValueError as e:\n"
+            "    print(e)\n"
+            "print(peak() - before)\n")
+    src = Path(knotcol.__file__).parents[1]
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
+    message, grown = out.stdout.splitlines()
+    assert re.fullmatch(f"the palette graph joins at least 4499999500 pairs .*{PAIR_LIMIT}",
+                        message), message
+    assert int(grown) < 8 * 2 ** 20, grown
 
 
 def test_palette_graph_counted_sets_under_the_limit_are_built():
