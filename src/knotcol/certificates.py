@@ -20,11 +20,10 @@ from knotcol import exactalg
 from knotcol.coloring import (
     NONTRIVIAL,
     DehnColoring,
-    checkerboard_coloring,
     classify,
     coloring_matrix,
 )
-from knotcol.diagram import Diagram
+from knotcol.diagram import Diagram, checkerboard
 from knotcol.exactalg import SparseMatrix
 
 VARIANT_A = "A"  # unit extra row, colors refine the checkerboard shading
@@ -63,7 +62,7 @@ def augmented_matrix(d: Diagram, c: DehnColoring) -> AugmentedMatrix:
     if classify(d, c) != NONTRIVIAL:
         raise TrivialColoringError("certificate requires nontrivial coloring")
     p = c.p
-    shading = checkerboard_coloring(d, p).values
+    shading = checkerboard(d)
     base = coloring_matrix(d)
     # variant B applies when some color class crosses the shading; it takes
     # the least pair i < j of one color and two shades, and i is the first

@@ -10,17 +10,21 @@ A dart is one of the two slot occurrences of a semiarc, written
 (crossing index, position), and numbered 4 * crossing + position inside
 this module, where the per-dart data are flat lists.  The darts are
 sorted by label once per PD code, on first read: consecutive darts of
-that order are the pairs, for the parser, and the builder numbers the
-regions in it.  Faces are the orbits of "cross the semiarc, then rotate
-one position counterclockwise", which for a planar code yields exactly
-n + 2 faces.
+that order are the pairs, and the builder numbers the regions in it.
+Faces are the orbits of "cross the semiarc, then rotate one position
+counterclockwise", which for a planar code yields exactly n + 2 faces.
+
+`parse_pd` reads the syntax only; `build_diagram` is the one gate that
+decides what a diagram is.  It refuses a code with no crossings, labels
+that do not pair up, a link, whose walk from dart 0 misses some passage,
+and a code that is not planar, in that order.
 
 A `Diagram` is its PD code, the regions of each crossing relation and,
 built on first read and kept, the arc of each semiarc and the checkerboard
 shading.  Every dart lies in one corner of a relation, so the regions
 beside a semiarc, and the Fox colors a Dehn coloring gives, are read off
 the relations.  The shading is read off one walk along the knot, the walk
-that validates the code.
+that `build_diagram` takes to refuse links.
 """
 
 from __future__ import annotations
@@ -48,10 +52,10 @@ class PDCode(_PDCodeFields):
 
     @cached_property
     def _darts(self):
-        """The label of each dart and the other dart of its semiarc, lists
-        indexed by dart id; each label's first dart; and the darts in a
-        stable sort by label; computed on first read.  Raises PDError
-        unless the 4n darts carry 2n labels, each exactly twice.
+        """The other dart of each dart's semiarc, a list indexed by dart id;
+        each label's first dart; and the darts in a stable sort by label;
+        computed on first read.  Raises PDError unless the 4n darts carry
+        2n labels, each exactly twice.
 
         The one sort pairs the darts: when each label appears twice, places
         2i and 2i + 1 of the sorted darts carry one label, the label's first
@@ -78,11 +82,13 @@ class PDCode(_PDCodeFields):
         for a, b in zip(firsts, seconds):
             other[a] = b
             other[b] = a
-        return labels, other, first, by_label
+        return other, first, by_label
 
 
 def parse_pd(text: str) -> PDCode:
-    """Parse `X[a,b,c,d] ...` or a JSON array of 4-element arrays."""
+    """Parse `X[a,b,c,d] ...` or a JSON array of 4-element arrays.  Only
+    the syntax is checked; `build_diagram` decides whether the code is a
+    knot diagram."""
     text = text.strip()
     if text.startswith("["):
         try:
@@ -108,7 +114,7 @@ def parse_pd(text: str) -> PDCode:
         except ValueError:
             raise _pd_text_refusal(text) from None
         quads = tuple(zip(*[iter(labels)] * 4))
-    return validate_pd(PDCode(quads))
+    return PDCode(quads)
 
 
 # one X[a,b,c,d] group, its four labels captured; `re` compiles it on
@@ -146,26 +152,6 @@ def _cycles(succ, starts):
                 d = succ[d]
             k += 1
     return k, cycle_of
-
-
-def validate_pd(pd: PDCode) -> PDCode:
-    if not pd.crossings:
-        raise PDError("PD code has no crossings")
-    other = pd._darts[1]
-    # the strand entering at dart d leaves at d ^ 2 (0-2 under, 1-3 over)
-    # and enters the next crossing at other[d ^ 2]; each component is two
-    # cycles of that map, one per direction, as long as its passages through
-    # crossings, so the cycle of dart 0 has all 2n passages only on a knot
-    steps, d = 1, other[2]
-    while d:
-        steps, d = steps + 1, other[d ^ 2]
-    if steps != 2 * pd.n:
-        darts = range(len(other))
-        count = _cycles([other[d ^ 2] for d in darts], darts)[0] // 2
-        raise PDError(
-            f"PD code describes a link with {count} components; only knots are supported"
-        )
-    return pd
 
 
 def components(items, pairs) -> dict:
@@ -225,7 +211,7 @@ class Diagram(_DiagramFields):
         of a crossing belong to one over-arc; arcs go in increasing order
         of their union-find root.  A knot diagram has one arc per crossing,
         the arc ending there as its under-strand."""
-        root = components(self.pd._darts[2], ((q[1], q[3]) for q in self.pd.crossings))
+        root = components(self.pd._darts[1], ((q[1], q[3]) for q in self.pd.crossings))
         index = {r: i for i, r in enumerate(sorted(set(root.values())))}
         return dict(zip(root, map(index.__getitem__, root.values())))
 
@@ -233,18 +219,19 @@ class Diagram(_DiagramFields):
     def _shading(self) -> tuple:
         """The shading that `checkerboard` returns, built on first read.
 
-        It is read off the walk along the knot that `validate_pd` takes,
-        which enters every semiarc once.  Adjacent corners of a crossing
-        lie across one strand, so they differ in shade.  A passage that
-        enters at position k has the corner between k and k + 1 on one
-        side of its semiarc and the corner between k - 1 and k on the
-        other.  On the first side, across the strand through k + 1, the
-        corner between k + 1 and k + 2 borders the leaving semiarc, so it
-        lies in the region of the next passage's first corner: the corners
-        between k and k + 1 alternate shade along the walk, and the corners
-        between k - 1 and k take the other shade.  Every region borders
-        some semiarc, so the walk shades every region of a knot; a link's
-        other components are walked from a semiarc with one side shaded.
+        It is read off the walk along the knot from dart 0 that
+        `build_diagram` takes, which enters every semiarc once.  Adjacent
+        corners of a crossing lie across one strand, so they differ in
+        shade.  A passage that enters at position k has the corner between
+        k and k + 1 on one side of its semiarc and the corner between k - 1
+        and k on the other.  On the first side, across the strand through
+        k + 1, the corner between k + 1 and k + 2 borders the leaving
+        semiarc, so it lies in the region of the next passage's first
+        corner: the corners between k and k + 1 alternate shade along the
+        walk, and the corners between k - 1 and k take the other shade.
+        Every region borders some semiarc, so the walk shades every region
+        of a knot; a region left unshaded, which only a diagram with
+        replaced relations can leave, is refused.
 
         Then every relation is checked: x1 and x4 share a shade, as do x2
         and x3, and x1 and x2 differ, so the two sides of every semiarc
@@ -253,30 +240,20 @@ class Diagram(_DiagramFields):
         rel = self.relations
         if len(rel) < self.n:
             raise PDError("disconnected region adjacency; corrupt input")
-        other = self.pd._darts[1]
+        other = self.pd._darts[0]
         after, before = _CORNER_AFTER, _CORNER_BEFORE
         shade = [None] * self.nregions
-        start, s = 0, 0
+        d, s = 0, 0
         while True:
-            d = start
-            while True:
-                x, k = rel[d >> 2], d & 3
-                shade[x[after[k]]] = s
-                s ^= 1
-                shade[x[before[k]]] = s
-                d = other[d ^ 2]
-                if d == start:
-                    break
-            if None not in shade:
+            x, k = rel[d >> 2], d & 3
+            shade[x[after[k]]] = s
+            s ^= 1
+            shade[x[before[k]]] = s
+            d = other[d ^ 2]
+            if not d:
                 break
-            for start in range(len(other)):
-                x, k = rel[start >> 2], start & 3
-                ahead, behind = shade[x[after[k]]], shade[x[before[k]]]
-                if (ahead is None) != (behind is None):
-                    break
-            else:
-                raise PDError("disconnected region adjacency; corrupt input")
-            s = 1 - behind if ahead is None else ahead
+        if None in shade:
+            raise PDError("disconnected region adjacency; corrupt input")
         for x1, x2, x3, x4 in rel:
             if shade[x1] != shade[x4] or shade[x2] != shade[x3] or shade[x1] == shade[x2]:
                 raise PDError("diagram not checkerboard-colorable; corrupt input")
@@ -288,14 +265,32 @@ class Diagram(_DiagramFields):
         """The regions of the two darts of a semiarc, in dart order; KeyError
         for a label that is not in the code.  Dart (c, k) lies in the corner
         between positions k - 1 and k of crossing c."""
-        _, other, first, _ = self.pd._darts
+        other, first, _ = self.pd._darts
         d = first[semiarc]
         return tuple(self.relations[e >> 2][_CORNER_BEFORE[e & 3]] for e in (d, other[d]))
 
 
 def build_diagram(pd: PDCode) -> Diagram:
+    """The diagram of a knot's PD code; PDError unless the code has
+    crossings, its labels pair up, it has one component and it is planar,
+    checked in that order."""
     n = pd.n
-    _, other, _, by_label = pd._darts
+    if not n:
+        raise PDError("PD code has no crossings")
+    other, _, by_label = pd._darts
+    # the strand entering at dart d leaves at d ^ 2 (0-2 under, 1-3 over)
+    # and enters the next crossing at other[d ^ 2]; each component is two
+    # cycles of that map, one per direction, as long as its passages through
+    # crossings, so the cycle of dart 0 has all 2n passages only on a knot
+    steps, d = 1, other[2]
+    while d:
+        steps, d = steps + 1, other[d ^ 2]
+    if steps != 2 * n:
+        darts = range(4 * n)
+        count = _cycles([other[d ^ 2] for d in darts], darts)[0] // 2
+        raise PDError(
+            f"PD code describes a link with {count} components; only knots are supported"
+        )
     # the face orbit step: the other dart, rotated one position by turn,
     # which sends 4c + k to 4c + (k + 1) % 4
     turn = list(range(1, 4 * n + 1))

@@ -32,7 +32,6 @@ from knotcol.diagram import (
     checkerboard,
     components,
     parse_pd,
-    validate_pd,
 )
 
 TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
@@ -70,13 +69,15 @@ def test_parse_pd_rejects_arity():
 
 def test_parse_pd_rejects_bad_labels():
     # JSON true and false are Python bools, an int subclass equal to 1 and 0;
-    # with 1 in place of true the first JSON code is the trefoil
+    # with 1 in place of true the first JSON code is the trefoil.  The parser
+    # refuses all but the first, whose labels do not pair up, which the
+    # builder refuses
     for text in ("X[1,2,3,4] X[1,2,3,5]",
                  "[[true,4,2,5],[3,6,4,1],[5,2,6,3]]",
                  "[[false,4,2,5],[3,6,4,false],[5,2,6,3]]",
                  "X[a,1,2,3]", "X[1,,2,3]", "X[1,2,3,4,]"):
         with pytest.raises(PDError):
-            parse_pd(text)
+            build_diagram(parse_pd(text))
 
 
 def test_parse_pd_names_a_non_integer_text_label():
@@ -105,13 +106,28 @@ def test_parse_pd_text_refusals(text, message):
 
 def test_parse_pd_rejects_no_crossings():
     with pytest.raises(PDError, match="^PD code has no crossings$"):
-        parse_pd("[]")
+        build_diagram(parse_pd("[]"))
 
 
 def test_parse_pd_rejects_links():
     # Hopf link: two components
     with pytest.raises(PDError):
-        parse_pd("X[1,3,2,4] X[3,1,4,2]")
+        build_diagram(parse_pd("X[1,3,2,4] X[3,1,4,2]"))
+
+
+LINK_MESSAGE = "PD code describes a link with 2 components; only knots are supported"
+
+
+def test_build_diagram_refuses_links():
+    # build_diagram is the one gate: a PD code built in code, which no
+    # parser saw, is refused as the parsed text would be, and parse_pd
+    # itself reads the syntax only
+    unlink = PDCode(((3, 1, 2, 4), (2, 1, 3, 4)))
+    for pd in [unlink] + [_unvalidated(text) for text in LINKS]:
+        with pytest.raises(PDError, match="^" + re.escape(LINK_MESSAGE) + "$"):
+            build_diagram(pd)
+    hopf = parse_pd(LINKS[0])
+    assert type(hopf) is PDCode and hopf == _unvalidated(LINKS[0])
 
 
 def test_region_counts():
@@ -224,9 +240,6 @@ def test_checkerboard_matches_reference():
     pds = [parse_pd(text) for text in texts] + [PDCode(((1, 1, 2, 2),))]
     rng = random.Random(5)
     pds += [_relabeled(pd, rng) for pd in pds[:] for _ in range(2)]
-    # link diagrams, which validation refuses, still build; each further
-    # component is walked from a semiarc with one side shaded
-    pds += [_unvalidated(text) for text in LINKS] + [PDCode(((3, 1, 2, 4), (2, 1, 3, 4)))]
     for pd in pds:
         d = build_diagram(pd)
         assert checkerboard(d) == reference_checkerboard(d), pd
@@ -323,7 +336,7 @@ def test_build_diagram_matches_reference():
     pds += [_relabeled(pd, rng) for pd in pds[:] for _ in range(2)]
     for pd in pds:
         _assert_matches_reference(pd)
-        assert validate_pd(pd) == reference_validate_pd(pd)
+        assert build_diagram(pd).pd == reference_validate_pd(pd)
 
 
 def _unvalidated(text):
@@ -347,15 +360,19 @@ def test_pd_errors_match_reference():
             reference_build_diagram(reference_validate_pd(pd))
         assert str(ours.value) == str(theirs.value), text
     # a code with no crossings is refused by name, not as a 0-component link
-    for validate in (validate_pd, reference_validate_pd):
+    for build in (build_diagram, reference_validate_pd):
         with pytest.raises(PDError, match="^PD code has no crossings$"):
-            validate(PDCode(()))
+            build(PDCode(()))
     for pd in (PDCode(()), PDCode(((1, 2, 3),))):
         with pytest.raises(PDError) as ours:
-            validate_pd(pd)
+            build_diagram(pd)
         with pytest.raises(PDError) as theirs:
             reference_validate_pd(pd)
         assert str(ours.value) == str(theirs.value)
-    # validation refuses a link, but its diagram builds
+    # the builder refuses a link as the reference validation does
     hopf = _unvalidated(texts[0])
-    _assert_matches_reference(hopf)
+    with pytest.raises(PDError) as ours:
+        build_diagram(hopf)
+    with pytest.raises(PDError) as theirs:
+        reference_validate_pd(hopf)
+    assert str(ours.value) == str(theirs.value) == LINK_MESSAGE
