@@ -91,7 +91,7 @@ class ColoringSpace(NamedTuple):
     enumerated: tuple  # all colorings, or () when count exceeds the budget
 
 
-def _goeritz(d: Diagram, shading: tuple):
+def _goeritz(d: Diagram):
     """The regions S of the checkerboard class with fewer regions (shade 0
     on a tie), in increasing order; the Goeritz matrix G of S, |S| x |S|,
     its rows and columns in that order; and each crossing relation as
@@ -109,6 +109,7 @@ def _goeritz(d: Diagram, shading: tuple):
     1933).  The sign differs between the crossings of a non-alternating
     diagram only.
     """
+    shading = checkerboard(d)
     side = int(2 * sum(shading) < len(shading))
     regions = [r for r, shade in enumerate(shading) if shade == side]
     pairs = []
@@ -146,7 +147,7 @@ def colorings(d: Diagram, p: int, budget: int = DEFAULT_BUDGET) -> ColoringSpace
     """
     exactalg._require_odd_prime(p)
     shading = checkerboard(d)
-    regions, g, pairs = _goeritz(d, shading)
+    regions, g, pairs = _goeritz(d)
     nreg = d.nregions
     # the Tait graph of U grown breadth first from its first region into a
     # spanning tree of (region, parent, a, b): z(region) = z(parent) + y(a) - y(b)
@@ -187,7 +188,7 @@ def colorings(d: Diagram, p: int, budget: int = DEFAULT_BUDGET) -> ColoringSpace
 def coloring_dimension(d: Diagram, p: int) -> int:
     """The dimension of the Dehn colorings mod p, 1 + |S| - rank_p(G) for S
     and G of `_goeritz`: the null space of G, and a constant on U."""
-    regions, g, _ = _goeritz(d, checkerboard(d))
+    regions, g, _ = _goeritz(d)
     return 1 + len(regions) - exactalg.rank_mod_p(g, p)
 
 
@@ -357,5 +358,5 @@ def knot_determinant(d: Diagram) -> int:
     to sign; else every cofactor is 0, and so is `_minor`'s.  |S| = 1
     leaves no row and the determinant 1.
     """
-    _, g, _ = _goeritz(d, checkerboard(d))
+    _, g, _ = _goeritz(d)
     return abs(exactalg._minor(exactalg._rcm_rows(g)[0][:-1])[1])

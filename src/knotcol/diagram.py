@@ -15,16 +15,17 @@ Faces are the orbits of "cross the semiarc, then rotate one position
 counterclockwise", which for a planar code yields exactly n + 2 faces.
 
 `parse_pd` reads the syntax only; `build_diagram` is the one gate that
-decides what a diagram is.  It refuses a code with no crossings, labels
-that do not pair up, a link, whose walk from dart 0 misses some passage,
-and a code that is not planar, in that order.
+decides what a diagram is.  It numbers the faces, then takes one walk
+along the knot from dart 0, which counts the passages and shades the
+regions.  It refuses a code with no crossings, labels that do not pair up,
+a link, whose walk from dart 0 misses some passage, and a code that is not
+planar, in that order.
 
-A `Diagram` is its PD code, the regions of each crossing relation and,
-built on first read and kept, the arc of each semiarc and the checkerboard
-shading.  Every dart lies in one corner of a relation, so the regions
-beside a semiarc, and the Fox colors a Dehn coloring gives, are read off
-the relations.  The shading is read off one walk along the knot, the walk
-that `build_diagram` takes to refuse links.
+A `Diagram` is its PD code, the regions of each crossing relation and the
+checkerboard shading that the walk gives; the arc of each semiarc is built
+on first read and kept.  Every dart lies in one corner of a relation, so
+the regions beside a semiarc, and the Fox colors a Dehn coloring gives,
+are read off the relations.
 """
 
 from __future__ import annotations
@@ -180,21 +181,21 @@ def components(items, pairs) -> dict:
 
 
 # indexed by a position k, the relation slot (x1, x2, x3, x4) of the corner
-# between positions k and k + 1, and of the corner between k - 1 and k, of
-# a crossing (see build_diagram)
-_CORNER_AFTER = (0, 2, 3, 1)
+# between positions k - 1 and k of a crossing (see build_diagram)
 _CORNER_BEFORE = (1, 0, 2, 3)
 
 
 class _DiagramFields(NamedTuple):
     pd: PDCode
     relations: tuple     # per crossing: regions (x1, x2, x3, x4), x1+x3 = x2+x4
+    shading: tuple       # per region: 0 or 1, unequal across a semiarc, region 0 is 0
 
 
 class Diagram(_DiagramFields):
-    """A knot diagram: its PD code and the regions of each crossing
-    relation; the arc of each semiarc and the checkerboard shading are
-    built on first read and kept."""
+    """A knot diagram: its PD code, the regions of each crossing relation
+    and the checkerboard shading, which `build_diagram` reads off its walk
+    along the knot; the arc of each semiarc is built on first read and
+    kept."""
 
     @property
     def n(self) -> int:
@@ -215,52 +216,6 @@ class Diagram(_DiagramFields):
         index = {r: i for i, r in enumerate(sorted(set(root.values())))}
         return dict(zip(root, map(index.__getitem__, root.values())))
 
-    @cached_property
-    def _shading(self) -> tuple:
-        """The shading that `checkerboard` returns, built on first read.
-
-        It is read off the walk along the knot from dart 0 that
-        `build_diagram` takes, which enters every semiarc once.  Adjacent
-        corners of a crossing lie across one strand, so they differ in
-        shade.  A passage that enters at position k has the corner between
-        k and k + 1 on one side of its semiarc and the corner between k - 1
-        and k on the other.  On the first side, across the strand through
-        k + 1, the corner between k + 1 and k + 2 borders the leaving
-        semiarc, so it lies in the region of the next passage's first
-        corner: the corners between k and k + 1 alternate shade along the
-        walk, and the corners between k - 1 and k take the other shade.
-        Every region borders some semiarc, so the walk shades every region
-        of a knot; a region left unshaded, which only a diagram with
-        replaced relations can leave, is refused.
-
-        Then every relation is checked: x1 and x4 share a shade, as do x2
-        and x3, and x1 and x2 differ, so the two sides of every semiarc
-        differ.  Region 0 is shaded 0.
-        """
-        rel = self.relations
-        if len(rel) < self.n:
-            raise PDError("disconnected region adjacency; corrupt input")
-        other = self.pd._darts[0]
-        after, before = _CORNER_AFTER, _CORNER_BEFORE
-        shade = [None] * self.nregions
-        d, s = 0, 0
-        while True:
-            x, k = rel[d >> 2], d & 3
-            shade[x[after[k]]] = s
-            s ^= 1
-            shade[x[before[k]]] = s
-            d = other[d ^ 2]
-            if not d:
-                break
-        if None in shade:
-            raise PDError("disconnected region adjacency; corrupt input")
-        for x1, x2, x3, x4 in rel:
-            if shade[x1] != shade[x4] or shade[x2] != shade[x3] or shade[x1] == shade[x2]:
-                raise PDError("diagram not checkerboard-colorable; corrupt input")
-        if shade[0]:
-            return tuple(1 - v for v in shade)
-        return tuple(shade)
-
     def semiarc_regions(self, semiarc: int):
         """The regions of the two darts of a semiarc, in dart order; KeyError
         for a label that is not in the code.  Dart (c, k) lies in the corner
@@ -273,24 +228,31 @@ class Diagram(_DiagramFields):
 def build_diagram(pd: PDCode) -> Diagram:
     """The diagram of a knot's PD code; PDError unless the code has
     crossings, its labels pair up, it has one component and it is planar,
-    checked in that order."""
+    checked in that order.
+
+    The faces are numbered first; then one walk along the knot from dart 0
+    counts the passages and shades the regions.  A passage that enters at
+    dart d, position k, has the corner between k and k + 1, the region of
+    dart turn[d], on one side of its semiarc and the corner between k - 1
+    and k, the region of d, on the other.  Across the strand through k + 1,
+    the corner between k + 1 and k + 2 borders the leaving semiarc, so it
+    lies in the region of the next passage's first corner: the first
+    corners alternate shade along the walk, and the second corners take the
+    other shade.  The walk enters every semiarc once, and every region
+    borders some semiarc, so every region is shaded.
+
+    No check of the shading follows.  A walk through all 2n passages meets
+    every crossing, so the graph is connected, and with n vertices, 2n
+    edges and n + 2 faces its Euler characteristic is 2: it is a plane
+    graph.  The faces of a plane graph whose degrees are all even have
+    exactly two proper 2-colorings, and every shade the walk gives after
+    its first is the opposite of one it gave across a strand, so it
+    follows one of them.  Region 0 is shaded 0.
+    """
     n = pd.n
     if not n:
         raise PDError("PD code has no crossings")
     other, _, by_label = pd._darts
-    # the strand entering at dart d leaves at d ^ 2 (0-2 under, 1-3 over)
-    # and enters the next crossing at other[d ^ 2]; each component is two
-    # cycles of that map, one per direction, as long as its passages through
-    # crossings, so the cycle of dart 0 has all 2n passages only on a knot
-    steps, d = 1, other[2]
-    while d:
-        steps, d = steps + 1, other[d ^ 2]
-    if steps != 2 * n:
-        darts = range(4 * n)
-        count = _cycles([other[d ^ 2] for d in darts], darts)[0] // 2
-        raise PDError(
-            f"PD code describes a link with {count} components; only knots are supported"
-        )
     # the face orbit step: the other dart, rotated one position by turn,
     # which sends 4c + k to 4c + (k + 1) % 4
     turn = list(range(1, 4 * n + 1))
@@ -300,6 +262,26 @@ def build_diagram(pd: PDCode) -> Diagram:
     # label puts them in (label, side) order, so the faces are numbered in
     # the order in which it meets them
     nfaces, region = _cycles(list(map(turn.__getitem__, other)), by_label)
+    # the strand entering at dart d leaves at d ^ 2 (0-2 under, 1-3 over)
+    # and enters the next crossing at other[d ^ 2]; each component is two
+    # cycles of that map, one per direction, as long as its passages through
+    # crossings, so the cycle of dart 0 has all 2n passages only on a knot
+    shade = [0] * nfaces
+    steps, d = 0, 0
+    while True:
+        s = steps & 1
+        shade[region[turn[d]]] = s
+        shade[region[d]] = s ^ 1
+        steps += 1
+        d = other[d ^ 2]
+        if not d:
+            break
+    if steps != 2 * n:
+        darts = range(4 * n)
+        count = _cycles([other[d ^ 2] for d in darts], darts)[0] // 2
+        raise PDError(
+            f"PD code describes a link with {count} components; only knots are supported"
+        )
     if nfaces != n + 2:
         raise PDError(
             f"non-planar or corrupt PD code: {nfaces} faces, expected {n + 2}"
@@ -312,18 +294,15 @@ def build_diagram(pd: PDCode) -> Diagram:
     # lie on one side of the under-strand and q23/q30 on the other.  The
     # relation regions (x1, x2, x3, x4) of crossing c are (q01, q30, q12, q23)
     relations = tuple(zip(region[1::4], region[0::4], region[2::4], region[3::4]))
-    return Diagram(pd, relations)
+    return Diagram(pd, relations, tuple(map(shade[0].__xor__, shade)))
 
 
 def checkerboard(d: Diagram) -> tuple:
     """Proper 2-shading of the regions, region index -> 0 or 1, with region
-    0 shaded 0: the Tait graphs' vertex sets.  The corners on one side of
-    the knot alternate shade along one walk of it, and every relation is
-    checked, x1 and x4 alike, x2 and x3 alike, x1 and x2 not, which covers
-    all four adjacent corner pairs.  The diagram keeps the shading on first
-    read, so the coloring solve and the certificate of one diagram shade it
-    once."""
-    return d._shading
+    0 shaded 0: the Tait graphs' vertex sets.  `build_diagram` reads it off
+    the walk with which it refuses links, and the diagram keeps it as its
+    field `shading`."""
+    return d.shading
 
 
 # Small-knot PD codes from standard tables.  The tests check each entry:

@@ -313,7 +313,8 @@ def test_fox_from_dehn_refuses_arc_of_two_colors(catalog, name, p):
     # reads x1 + x4: each coloring of more than one color gives some arc
     # two colors, which fox_from_dehn refuses also under python -O
     d = catalog[name]
-    swapped = Diagram(d.pd, tuple((x1, x4, x3, x2) for x1, x2, x3, x4 in d.relations))
+    swapped = Diagram(d.pd, tuple((x1, x4, x3, x2) for x1, x2, x3, x4 in d.relations),
+                      d.shading)
     checked = 0
     for c in colorings(d, p).enumerated:
         assert is_valid_coloring(swapped, c)
@@ -476,7 +477,7 @@ def test_every_goeritz_cofactor_is_the_determinant():
     checked = mixed = 0
     for text in texts:
         d = build_diagram(parse_pd(text))
-        regions, g, _ = coloring._goeritz(d, checkerboard(d))
+        regions, g, _ = coloring._goeritz(d)
         k = len(regions)
         if k > 7:
             continue

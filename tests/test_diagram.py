@@ -40,8 +40,7 @@ KINK = "X[1,2,2,1]"
 # two-component links: the Hopf link, the (2, 4) torus link, the
 # Whitehead link, the Hopf link with a kink, either way, in the component
 # that dart 0 is not on, whose loop no semiarc of the other component
-# borders, and with a kink in each component, so that the second walk's
-# first shade must agree with the first walk's
+# borders, and with a kink in each component
 LINKS = ("X[1,3,2,4] X[3,1,4,2]",
          "X[6,1,7,2] X[8,3,5,4] X[2,5,3,6] X[4,7,1,8]",
          "X[6,1,7,2] X[10,7,5,8] X[4,5,1,6] X[2,10,3,9] X[8,4,9,3]",
@@ -245,17 +244,6 @@ def test_checkerboard_matches_reference():
         assert checkerboard(d) == reference_checkerboard(d), pd
 
 
-def test_checkerboard_refusals():
-    d = build_diagram(parse_pd(TREFOIL))
-    with pytest.raises(PDError, match="disconnected region adjacency"):
-        checkerboard(d._replace(relations=()))
-    shading = checkerboard(d)
-    r, s = [i for i, x in enumerate(shading) if x == shading[0]][:2]
-    bad = d._replace(relations=d.relations + ((r, r, s, s),))
-    with pytest.raises(PDError, match="not checkerboard-colorable"):
-        checkerboard(bad)
-
-
 def test_catalog_regions_and_names():
     for name in CATALOG:
         d = catalog_diagram(name)
@@ -302,9 +290,9 @@ def _assert_matches_reference(pd):
 
 def test_queries_on_relations_build_no_other_view(monkeypatch):
     # det, color-count, mincol and certify read the relations, the region
-    # count and the shading, which the diagram builds once, on first read,
-    # and keeps, by a walk with no union-find; fox builds the arc index, by
-    # the one union-find, on first read and keeps it
+    # count and the shading, fields that build_diagram fills in with no
+    # union-find; fox builds the arc index, by the one union-find, on first
+    # read and keeps it
     runs = []
 
     def counted(items, pairs):
@@ -319,7 +307,7 @@ def test_queries_on_relations_build_no_other_view(monkeypatch):
     aug = augmented_matrix(d, c)
     assert all(r.ok for r in rank_checks(aug))
     assert not extract_certificate(aug).violations
-    assert set(vars(d)) == {"_shading"} and not runs
+    assert not vars(d) and not runs
     assert fox_colorings_count(d, 3) == 9
     assert fox_colorings_count(d, 5) == 5
     arc = vars(d)["arc_of_semiarc"]
@@ -350,7 +338,10 @@ def test_pd_errors_match_reference():
              "X[1,2,3,4] X[1,2,3,5]",  # 4 and 5 appear once
              "X[1,2,1,2]",
              "X[1,1,1,1]",
-             f"{CATALOG['3_1']} X[7,8,7,8]"]
+             f"{CATALOG['3_1']} X[7,8,7,8]",
+             # a link with two faces: the faces are numbered before the
+             # walk, and the link is refused before the face count
+             "X[1,2,4,4] X[2,3,1,3]"]
     texts += [torus_pd(n) for n in (2, 4, 6)]  # 2, 4 and 6 components
     for text in texts:
         pd = _unvalidated(text)
@@ -376,3 +367,29 @@ def test_pd_errors_match_reference():
     with pytest.raises(PDError) as theirs:
         reference_validate_pd(hopf)
     assert str(ours.value) == str(theirs.value) == LINK_MESSAGE
+
+
+def test_random_codes_match_reference():
+    # random pairings of the labels 1..2n over n = 1..6 crossings: most are
+    # links or not planar.  Each code is refused with the reference's
+    # message, or builds the reference's views and a shading that the
+    # reference search confirms is proper
+    rng = random.Random(38)
+    built = 0
+    for _ in range(5000):
+        n = rng.randint(1, 6)
+        labels = [*range(1, 2 * n + 1)] * 2
+        rng.shuffle(labels)
+        pd = PDCode(tuple(zip(*[iter(labels)] * 4)))
+        try:
+            reference_build_diagram(reference_validate_pd(pd))
+        except PDError as e:
+            with pytest.raises(PDError) as ours:
+                build_diagram(pd)
+            assert str(ours.value) == str(e), pd
+            continue
+        _assert_matches_reference(pd)
+        d = build_diagram(pd)
+        assert checkerboard(d) == d.shading == reference_checkerboard(d), pd
+        built += 1
+    assert built == 975, built

@@ -45,7 +45,7 @@ def trefoil_augmented():
 RECORDS = [
     (SparseMatrix, ("rows", "ncols"), lambda: coloring_matrix(trefoil()), ()),
     (PDCode, ("crossings",), lambda: parse_pd(CATALOG["3_1"]), ("_darts",)),
-    (Diagram, ("pd", "relations"), trefoil, ("arc_of_semiarc", "_shading")),
+    (Diagram, ("pd", "relations", "shading"), trefoil, ("arc_of_semiarc",)),
     (DehnColoring, ("p", "values"), lambda: DehnColoring(3, (0, 1, 2, 0, 1)), ()),
     (ColoringSpace, ("p", "basis", "dimension", "count", "enumerated"),
      lambda: colorings(trefoil(), 3), ()),
